@@ -1,32 +1,11 @@
 """Shared glue for spark-submit job entrypoints."""
 from __future__ import annotations
 
-import os
 import pathlib
 
-from pyspark.sql import SparkSession
+from repro.tables.session import get_spark  # noqa: F401
 
 RESULTS = pathlib.Path(__file__).resolve().parent.parent / "results"
-
-
-def get_spark(app: str) -> SparkSession:
-    """SparkSession for a job: under spark-submit this picks up the
-    submitted config; standalone it falls back to local[*]."""
-    os.environ.setdefault(
-        "PYSPARK_SUBMIT_ARGS",
-        "--master local[*] --driver-memory 8g "
-        "--conf spark.driver.host=127.0.0.1 "
-        "--conf spark.ui.enabled=false pyspark-shell",
-    )
-    s = (
-        SparkSession.builder.appName(app)
-        .config("spark.sql.shuffle.partitions", "16")
-        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
-        .getOrCreate()
-    )
-    s.sparkContext.setLogLevel("ERROR")
-    return s
 
 
 def save(df, name: str) -> None:

@@ -77,18 +77,13 @@ def build_csr(n: int, src: np.ndarray, dst: np.ndarray) -> CSR:
     dst = np.asarray(dst, dtype=np.int64)
     keep = src != dst
     src, dst = src[keep], dst[keep]
-    # Symmetrize then dedupe on the encoded pair.
-    a = np.concatenate([src, dst])
-    b = np.concatenate([dst, src])
-    code = a * n + b
-    _, idx = np.unique(code, return_index=True)
-    a, b = a[idx], b[idx]
-    order = np.lexsort((b, a))
-    a, b = a[order], b[order]
+    # Symmetrize then dedupe on the encoded pair; the sorted codes are
+    # already in (source, target) order, which is the CSR layout.
+    code = np.unique(np.concatenate([src * n + dst, dst * n + src]))
+    a, b = np.divmod(code, n)
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(indptr, a + 1, 1)
-    np.cumsum(indptr, out=indptr)
-    return CSR(indptr=indptr, adj=b.astype(np.int64))
+    np.cumsum(np.bincount(a, minlength=n), out=indptr[1:])
+    return CSR(indptr=indptr, adj=b)
 
 
 def from_edge_list(edges: np.ndarray, n: int | None = None) -> CSR:

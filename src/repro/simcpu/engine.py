@@ -28,11 +28,18 @@ process described by an :class:`AlgoConfig` on a CSR graph:
 The executions are real (every decrement happens on real arrays; the
 result is exact coreness, asserted against BZ in tests); only the
 conversion of measured events to time uses the machine cost model.
+
+Host-side, batch subrounds are vectorized NumPy, while the local
+searches (VGC and PKC) run as one scalar loop per subround over
+zero-copy ``memoryview``s of the engine arrays: a popped vertex's
+neighbor list is a handful of entries, where per-call NumPy overhead
+would dominate. The loop follows the model's exact order of pops,
+decrements and RNG draws; ``tests/test_golden.py`` pins the resulting
+metrics.
 """
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -276,71 +283,81 @@ class _Engine:
         return dropped
 
     def _local_search(
-        self,
-        v: int,
-        k: int,
-        qcap: float,
-        work_cap: float,
-        next_parts: list,
-        resample_parts: list,
-        dec_parts: list,
-        cont_parts: list,
-    ) -> tuple[int, int]:
-        """Run one local search from v (already peeled by the caller).
-        Chaining stops at ``qcap`` enqueued vertices or ``work_cap``
-        touched work. Returns (chain work, vertices peeled inside)."""
-        queue: deque = deque([v])
-        enqueued = 1
-        chain_work = 0
-        peeled_inside = 0
+        self, seeds: list, k: int, qcap: float, work_cap: float
+    ) -> tuple[list, list, list, list, list]:
+        """Run one FIFO local search from each seed (already peeled by
+        the caller), in order. Chaining stops at ``qcap`` enqueued
+        vertices or ``work_cap`` touched work. Returns (chain work per
+        seed, popped vertices, plain decrements, dropped-but-not-chained
+        vertices, sampled vertices that reached mu samples).
+
+        RNG draws follow the model's order: one
+        ``rng.random(len(sampled))`` per popped vertex that has active
+        sample-mode neighbors."""
+        indptr = memoryview(self.indptr)
+        adj = memoryview(self.adj)
+        deg = memoryview(self.deg)
+        state = memoryview(self.state)
+        core = memoryview(self.core)
         sampling = self.algo.sampling
-        indptr = self.indptr
-        while queue:
-            x = queue.popleft()
-            tg = self.adj[indptr[x] : indptr[x + 1]]
-            chain_work += 1 + len(tg)
-            # Atomics touch every non-sampled neighbor (Alg. 3/5).
-            cont_parts.append(tg[~self.smode[tg]] if sampling else tg)
-            act = tg[self.state[tg] == ACTIVE]
-            if len(act) == 0:
-                continue
-            if sampling:
-                sm = self.smode[act]
-                plain, sampled = act[~sm], act[sm]
-            else:
-                plain, sampled = act, act[:0]
-            if len(plain):
-                self.deg[plain] -= 1  # simple graph: no dups in one list
-                dec_parts.append(plain)
-                dropped = plain[self.deg[plain] <= k]
-                if len(dropped):
-                    # Chain only while the queue and work budgets last,
-                    # and never chain through a high-degree vertex (its
-                    # neighbors are better peeled inner-parallel). The
-                    # work budget is cumulative over the whole batch.
-                    alen = indptr[dropped + 1] - indptr[dropped]
-                    chainable = (
-                        (np.arange(len(dropped)) + enqueued < qcap)
-                        & (chain_work + np.cumsum(alen) <= work_cap)
-                    )
-                    take, spill = dropped[chainable], dropped[~chainable]
-                    if len(take):
-                        self.state[take] = PEELED
-                        self.core[take] = k
-                        queue.extend(take.tolist())
-                        enqueued += len(take)
-                        peeled_inside += len(take)
-                    if len(spill):
-                        self.state[spill] = QUEUED
-                        next_parts.append(spill)
-            if len(sampled):
-                hits = sampled[self.rng.random(len(sampled)) < self.srate[sampled]]
-                if len(hits):
-                    self.scnt[hits] += 1
-                    full = hits[self.scnt[hits] >= self.mu]
-                    if len(full):
-                        resample_parts.append(full)
-        return chain_work, peeled_inside
+        smode = memoryview(self.smode.view(np.uint8))
+        srate = memoryview(self.srate)
+        scnt = memoryview(self.scnt)
+        mu = self.mu
+        random = self.rng.random
+        works: list = []
+        popped: list = []
+        dec: list = []
+        spill: list = []
+        full: list = []
+        active, queued, peeled = ACTIVE, QUEUED, PEELED
+        dec_append, spill_append = dec.append, spill.append
+        for v in seeds:
+            queue = [v]  # FIFO: iterating a list visits what is appended
+            chain_work = 0
+            for x in queue:
+                lo, hi = indptr[x], indptr[x + 1]
+                chain_work += 1 + hi - lo
+                # Chain only while the queue and work budgets last, and
+                # never chain through a high-degree vertex (its
+                # neighbors are better peeled inner-parallel). Both
+                # budgets only tighten, so the chained vertices are a
+                # prefix of this list's drops and the rest spill.
+                budget = chain_work
+                spilling = False
+                sampled = []
+                for u in adj[lo:hi]:
+                    if state[u] != active:
+                        continue
+                    if sampling and smode[u]:
+                        sampled.append(u)
+                        continue
+                    d = deg[u] - 1  # simple graph: no dups in one list
+                    deg[u] = d
+                    dec_append(u)
+                    if d > k:
+                        continue
+                    if not spilling:
+                        budget += indptr[u + 1] - indptr[u]
+                        if len(queue) < qcap and budget <= work_cap:
+                            state[u] = peeled
+                            core[u] = k
+                            queue.append(u)
+                            continue
+                        spilling = True
+                    state[u] = queued
+                    spill_append(u)
+                if sampled:
+                    draws = random(len(sampled)).tolist()
+                    for u, r in zip(sampled, draws):
+                        if r < srate[u]:
+                            c = scnt[u] + 1
+                            scnt[u] = c
+                            if c >= mu:
+                                full.append(u)
+            popped += queue
+            works.append(chain_work)
+        return works, popped, dec, spill, full
 
     def _peel_local(
         self, frontier: np.ndarray, k: int, *, per_thread: bool
@@ -351,8 +368,6 @@ class _Engine:
         peeled inside chains)."""
         next_parts: list = []
         resample_parts: list = []
-        dec_parts: list = []
-        cont_parts: list = []
         if per_thread:
             qcap = work_cap = math.inf
             low, high = frontier, frontier[:0]
@@ -362,7 +377,6 @@ class _Engine:
             alen = self.indptr[frontier + 1] - self.indptr[frontier]
             low, high = frontier[alen <= work_cap], frontier[alen > work_cap]
         total_work = 0.0
-        peeled_inside = 0
         cmax = 0
         # Batch (inner-parallel) phase for high-degree seeds.
         if len(high):
@@ -377,43 +391,38 @@ class _Engine:
             if len(resample_set):
                 resample_parts.append(resample_set)
         # Local searches for low-degree seeds.
+        works, popped, dec, spill, full = self._local_search(
+            low.tolist(), k, qcap, work_cap
+        )
+        peeled_inside = len(popped) - len(works)
+        total_work += sum(works)
         if per_thread:
-            thread_work = np.zeros(self.mc.p, dtype=np.float64)
-            for i, v in enumerate(low):
-                w, pi = self._local_search(
-                    int(v), k, qcap, work_cap,
-                    next_parts, resample_parts, dec_parts, cont_parts,
-                )
-                thread_work[i % self.mc.p] += w
-                total_work += w
-                peeled_inside += pi
-            chain = float(thread_work.max()) if len(low) else 0.0
+            p = self.mc.p
+            chain = float(max(sum(works[t::p]) for t in range(p)))
         else:
-            chain = 0.0
-            for v in low:
-                w, pi = self._local_search(
-                    int(v), k, qcap, work_cap,
-                    next_parts, resample_parts, dec_parts, cont_parts,
-                )
-                chain = max(chain, float(w))
-                total_work += w
-                peeled_inside += pi
+            chain = float(max(works, default=0))
         self.met.max_chain = max(self.met.max_chain, int(chain))
         # Contention: per-location atomic counts across the subround.
-        if cont_parts:
-            touched = np.concatenate(cont_parts)
+        # Atomics touch every non-sampled neighbor of every popped
+        # vertex (Alg. 3/5); sample modes do not change in a subround.
+        if popped:
+            touched = gather_neighbors(self.indptr, self.adj, np.array(popped))
+            if self.algo.sampling:
+                touched = touched[~self.smode[touched]]
             if len(touched):
                 _, cts = np.unique(touched, return_counts=True)
                 cmax = max(cmax, int(cts.max()))
-        if dec_parts:
-            all_dec = np.concatenate(dec_parts)
-            if len(all_dec):
-                uts = np.unique(all_dec)
-                self.met.work += self.structure.on_decrement(uts, self.deg)
+        if dec:
+            uts = np.unique(np.array(dec))
+            self.met.work += self.structure.on_decrement(uts, self.deg)
         span = self._contention(cmax) + max(
             0.0, chain - total_work / self.mc.p
         )
         self._charge_parallel(float(total_work + len(frontier)), 1, span)
+        if spill:
+            next_parts.append(np.array(spill))
+        if full:
+            resample_parts.append(np.array(full))
         out = next_parts
         if resample_parts:
             joins = self._resample(np.unique(np.concatenate(resample_parts)), k)

@@ -17,9 +17,9 @@ ROOT = pathlib.Path(__file__).resolve().parents[3]
 RESULTS = ROOT / "results"
 
 
-def _read(name: str) -> pd.DataFrame:
+def _read(results: pathlib.Path, name: str) -> pd.DataFrame:
     # keep_default_na=False: the road graph "NA" is a graph key, not NaN.
-    return pd.read_csv(RESULTS / name, keep_default_na=False, na_values=[""])
+    return pd.read_csv(results / name, keep_default_na=False, na_values=[""])
 
 
 def _fmt(v, digits=4):
@@ -30,8 +30,8 @@ def _fmt(v, digits=4):
     return str(v)
 
 
-def table2_section() -> str:
-    df = _read("table2.csv")
+def table2_section(results: pathlib.Path) -> str:
+    df = _read(results, "table2.csv")
     out = [
         "### Table 2 — overall performance",
         "",
@@ -77,8 +77,8 @@ def table2_section() -> str:
     return "\n".join(out)
 
 
-def table3_section() -> str:
-    df = _read("table3.csv").set_index("graph")
+def table3_section(results: pathlib.Path) -> str:
+    df = _read(results, "table3.csv").set_index("graph")
     out = [
         "### Table 3 — the 8 technique combinations",
         "",
@@ -99,8 +99,8 @@ def table3_section() -> str:
     return "\n".join(out)
 
 
-def fig_section(name: str, title: str, note: str) -> str:
-    df = _read(f"{name}.csv")
+def fig_section(results: pathlib.Path, name: str, title: str, note: str) -> str:
+    df = _read(results, f"{name}.csv")
     out = [f"### {title}", "", note, "", "```", df.to_string(index=False), "```"]
     return "\n".join(out)
 
@@ -163,14 +163,16 @@ Regenerate this file with `python -m repro.tables.report`.
 """
 
 
-def main() -> None:
+def render(results: pathlib.Path = RESULTS) -> str:
+    """EXPERIMENTS.md text rendered from the CSVs in ``results``."""
     parts = [
         HEADER,
-        table2_section(),
+        table2_section(results),
         "",
-        table3_section(),
+        table3_section(results),
         "",
         fig_section(
+            results,
             "fig7",
             "Fig. 7 — subrounds with and without VGC",
             "Paper: VGC reduces subrounds 5–40x on sparse graphs "
@@ -179,6 +181,7 @@ def main() -> None:
         ),
         "",
         fig_section(
+            results,
             "fig8",
             "Fig. 8 — bucketing strategies (relative to HBS, lower is better)",
             "Paper: 1 bucket is slow on dense graphs; 16 buckets cost "
@@ -188,6 +191,7 @@ def main() -> None:
         ),
         "",
         fig_section(
+            results,
             "fig9",
             "Fig. 9/14/15 — burdened span and time speedup over Julienne",
             "Paper: 1.6–7.9x without VGC (online vs offline sync "
@@ -196,6 +200,7 @@ def main() -> None:
         ),
         "",
         fig_section(
+            results,
             "fig11",
             "Fig. 11 — sampling on/off on the triggering graphs",
             "Paper: 8 graphs trigger sampling; 7 gain (up to 4.3x on "
@@ -205,6 +210,7 @@ def main() -> None:
         ),
         "",
         fig_section(
+            results,
             "fig12",
             "Fig. 12 — maximum k'-core subgraph vs Galois-like baseline",
             "Paper: k in 16..2048 on OK and TW, ours 1.6–6.2x faster. "
@@ -212,7 +218,11 @@ def main() -> None:
         ),
         "",
     ]
-    (ROOT / "EXPERIMENTS.md").write_text("\n".join(parts))
+    return "\n".join(parts)
+
+
+def main() -> None:
+    (ROOT / "EXPERIMENTS.md").write_text(render())
     print(f"wrote {ROOT / 'EXPERIMENTS.md'}")
 
 

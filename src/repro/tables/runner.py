@@ -78,9 +78,7 @@ def run_cells(
         from repro.seq.bz import bz_kcore
         from repro.simcpu.engine import run_kcore
 
-        reg = algo_registry()
-        out = []
-        for _, row in part.iterrows():
+        def _cell(row, reg) -> dict:
             g = load_graph(row["graph"], row["scale"])
             base = {
                 "graph": row["graph"],
@@ -92,43 +90,47 @@ def run_cells(
             if row["algo"] == "bz":
                 res = bz_kcore(g)
                 t = res.work * machine.t_op
-                out.append(
-                    base
-                    | {
-                        "kmax": int(res.core.max()),
-                        "rounds": 0, "rho": 0,
-                        "work": float(res.work),
-                        "t_par": machine.seconds(t),
-                        "t_seq": machine.seconds(t),
-                        "bspan": 0.0, "max_contention": 0, "max_chain": 0,
-                        "restarts": 0, "n_sampled": 0, "resamples": 0,
-                        "scanned": 0, "moves": 0, "subrounds_json": "[]",
-                    }
-                )
-                continue
+                return base | {
+                    "kmax": int(res.core.max()),
+                    "rounds": 0, "rho": 0,
+                    "work": float(res.work),
+                    "t_par": machine.seconds(t),
+                    "t_seq": machine.seconds(t),
+                    "bspan": 0.0, "max_contention": 0, "max_chain": 0,
+                    "restarts": 0, "n_sampled": 0, "resamples": 0,
+                    "scanned": 0, "moves": 0, "subrounds_json": "[]",
+                }
             _, met = run_kcore(
                 g, reg[row["algo"]], machine, collect_subrounds=collect_subrounds
             )
-            out.append(
-                base
-                | {
-                    "kmax": met.kmax,
-                    "rounds": met.rounds,
-                    "rho": met.rho,
-                    "work": float(met.work),
-                    "t_par": met.t_par_seconds(machine),
-                    "t_seq": met.t_seq_seconds(machine),
-                    "bspan": float(met.bspan_units),
-                    "max_contention": met.max_contention,
-                    "max_chain": met.max_chain,
-                    "restarts": met.restarts,
-                    "n_sampled": met.n_sampled,
-                    "resamples": met.resamples,
-                    "scanned": met.structure.get("scanned", 0),
-                    "moves": met.structure.get("moves", 0),
-                    "subrounds_json": json.dumps(met.subrounds_per_round),
-                }
-            )
+            return base | {
+                "kmax": met.kmax,
+                "rounds": met.rounds,
+                "rho": met.rho,
+                "work": float(met.work),
+                "t_par": met.t_par_seconds(machine),
+                "t_seq": met.t_seq_seconds(machine),
+                "bspan": float(met.bspan_units),
+                "max_contention": met.max_contention,
+                "max_chain": met.max_chain,
+                "restarts": met.restarts,
+                "n_sampled": met.n_sampled,
+                "resamples": met.resamples,
+                "scanned": met.structure.get("scanned", 0),
+                "moves": met.structure.get("moves", 0),
+                "subrounds_json": json.dumps(met.subrounds_per_round),
+            }
+
+        reg = algo_registry()
+        out = []
+        for _, row in part.iterrows():
+            try:
+                out.append(_cell(row, reg))
+            except Exception as e:
+                raise RuntimeError(
+                    f"cell (graph={row['graph']!r}, algo={row['algo']!r}, "
+                    f"scale={row['scale']!r}) failed: {e!r}"
+                ) from e
         return pd.DataFrame(out)
 
     return (

@@ -63,6 +63,46 @@ def test_gather_neighbors_empty_frontier():
     assert len(gather_neighbors(g.indptr, g.adj, np.empty(0, dtype=np.int64))) == 0
 
 
+def _edges(pairs):
+    arr = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    return arr[:, 0], arr[:, 1]
+
+
+def test_build_csr_zero_vertices():
+    g = build_csr(0, *_edges([]))
+    assert g.n == 0 and g.m == 0
+    assert g.indptr.tolist() == [0]
+    assert g.indptr.dtype == np.int64 and g.adj.dtype == np.int64
+    g.validate()
+
+
+def test_build_csr_one_vertex():
+    g = build_csr(1, *_edges([]))
+    assert g.indptr.tolist() == [0, 0] and g.m == 0
+    g.validate()
+
+
+def test_build_csr_only_self_loops():
+    g = build_csr(4, *_edges([(0, 0), (2, 2), (2, 2), (3, 3)]))
+    assert g.indptr.tolist() == [0, 0, 0, 0, 0]
+    assert len(g.adj) == 0
+    g.validate()
+
+
+def test_build_csr_duplicate_and_reversed_edges():
+    g = build_csr(4, *_edges([(2, 0), (0, 2), (2, 0), (3, 1), (1, 3), (1, 1), (0, 3)]))
+    assert g.indptr.tolist() == [0, 2, 3, 4, 6]
+    # Neighbor lists come out sorted by target.
+    assert g.adj.tolist() == [2, 3, 3, 0, 0, 1]
+    g.validate()
+
+
+def test_build_csr_last_vertex_isolated():
+    g = build_csr(5, *_edges([(0, 1)]))
+    assert g.indptr.tolist() == [0, 1, 2, 2, 2, 2]
+    assert g.degrees().tolist() == [1, 1, 0, 0, 0]
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     st.lists(

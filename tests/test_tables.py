@@ -45,6 +45,16 @@ def test_run_cells_collect_subrounds(spark):
     assert sum(subs) == df.rho.iloc[0]
 
 
+def test_run_cells_names_failing_cell(spark):
+    cells = [
+        {"graph": "GRID", "algo": "plain", "scale": "mini"},
+        {"graph": "GRID", "algo": "no-such-algo", "scale": "mini"},
+    ]
+    with pytest.raises(Exception) as err:
+        run_cells(spark, cells)
+    assert "cell (graph='GRID', algo='no-such-algo', scale='mini') failed" in str(err.value)
+
+
 def test_table2_mini(spark):
     df = table2.compute(spark, graphs=["GRID", "TW"], scale="mini")
     assert set(df.graph) == {"GRID", "TW"}
