@@ -4,12 +4,14 @@ Buckets partition the key range [k, d_max] into the binary
 decomposition the paper uses: eight single-key buckets for
 k, k+1, ..., k+7, then ranges of size 8, 16, 32, ... (the "first eight
 buckets are single-key" optimization of Sec. 5.2). Each bucket is a
-parallel hash bag. DECREASEKEY inserts the vertex into its new bucket
-without deleting the old copy (lazy deletion); stale copies are
-filtered at extraction. GETNEXTBUCKET extracts the first bucket
-covering the current k and, if it spans more than one key, splits it
-and redistributes its members — each vertex is redistributed at most
-O(log d(v)) times, the structure's cost bound.
+bag: a list of id arrays standing in for the paper's parallel hash
+bag, whose extraction costs O(lambda + t) for t stored ids; that cost
+is charged as ``len(items) + LAM``. DECREASEKEY inserts the vertex
+into its new bucket without deleting the old copy (lazy deletion);
+stale copies are filtered at extraction. GETNEXTBUCKET extracts the
+first bucket covering the current k and, if it spans more than one
+key, splits it and redistributes its members — each vertex is
+redistributed at most O(log d(v)) times, the structure's cost bound.
 
 ``AdaptiveHBS`` is the paper's final design (Sec. 5.3): the plain
 single-bucket active-set scan until the theta-core (theta = 16) is
@@ -21,7 +23,9 @@ import numpy as np
 
 from repro.bucket.interface import ACTIVE, MOVE_WEIGHT, FrontierStructure
 from repro.bucket.single import SingleBucket
-from repro.hashbag import HashBag
+
+# Hash-bag first-chunk size lambda: the fixed part of an extraction.
+LAM = 64
 
 
 class _Bucket:
@@ -30,7 +34,7 @@ class _Bucket:
     def __init__(self, lo: int, hi: int, serial: int):
         self.lo = lo
         self.hi = hi
-        self.bag = HashBag(lam=64)
+        self.bag: list[np.ndarray] = []
         self.serial = serial
 
 
@@ -51,11 +55,10 @@ def _split_sizes(length: int) -> list[int]:
 
 
 class HBS(FrontierStructure):
-    """Hierarchical bucketing structure over hash bags."""
+    """Hierarchical bucketing structure over bags."""
 
-    def __init__(self, n: int, *, lam: int = 64):
+    def __init__(self, n: int):
         super().__init__(n)
-        self.lam = lam
         self.buckets: list[_Bucket] = []
         self.los = np.empty(0, dtype=np.int64)
         self.vertex_serial = np.full(n, -1, dtype=np.int64)
@@ -82,7 +85,7 @@ class HBS(FrontierStructure):
     def _insert(self, bucket: _Bucket, ids: np.ndarray) -> None:
         if len(ids) == 0:
             return
-        bucket.bag.insert_many(ids)
+        bucket.bag.append(ids)
         self.vertex_serial[ids] = bucket.serial
 
     # -- interface ---------------------------------------------------------
@@ -104,10 +107,11 @@ class HBS(FrontierStructure):
     def _extract_valid(
         self, bucket: _Bucket, deg: np.ndarray, state: np.ndarray
     ) -> tuple[np.ndarray, float]:
-        items = bucket.bag.extract_all()
-        cost = float(len(items) + self.lam)
-        if len(items) == 0:
-            return items, cost
+        if not bucket.bag:
+            return np.empty(0, dtype=np.int64), float(LAM)
+        items = np.concatenate(bucket.bag)
+        bucket.bag.clear()
+        cost = float(len(items) + LAM)
         valid = (self.vertex_serial[items] == bucket.serial) & (
             state[items] == ACTIVE
         )
@@ -176,21 +180,13 @@ class HBS(FrontierStructure):
         self.moves += len(movers)
         return MOVE_WEIGHT * len(movers)
 
-    def counters(self) -> dict:
-        c = super().counters()
-        c["hashbag_probes"] = int(
-            sum(b.bag.probes for b in self.buckets)
-        )
-        return c
-
 
 class AdaptiveHBS(FrontierStructure):
     """Paper's final design: SingleBucket until round theta, then HBS."""
 
-    def __init__(self, n: int, *, theta: int = 16, lam: int = 64):
+    def __init__(self, n: int, *, theta: int = 16):
         super().__init__(n)
         self.theta = theta
-        self.lam = lam
         self.inner: FrontierStructure = SingleBucket(n)
         self.switched = False
 
@@ -203,7 +199,7 @@ class AdaptiveHBS(FrontierStructure):
             assert isinstance(self.inner, SingleBucket)
             survivors = self.inner.active
             survivors = survivors[state[survivors] == ACTIVE]
-            hbs = HBS(self.n, lam=self.lam)
+            hbs = HBS(self.n)
             cost = hbs.build(survivors, np.maximum(deg, k)) if len(survivors) else 0.0
             self._merge_counters()
             self.inner = hbs

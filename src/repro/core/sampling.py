@@ -11,10 +11,11 @@ addressed to a sample-mode vertex is kept only with probability
 hot keys receive O(mu) rows per resample epoch instead of O(d(v)).
 
 State columns per vertex: deg (stale while sampled), core, smode, rate,
-cnt. Each round runs Validate; each subround splits the removal
-messages into sampled hits (cnt += hits, resample at cnt >= mu) and
-plain decrements. Resampling recounts the true induced degree with a
-join against the active set (Alg. 5's Resample).
+cnt. Each subround splits the removal messages into sampled hits
+(cnt += hits, resample at cnt >= mu) and plain decrements; each round
+ends with Validate, whose resampled vertices may extend the round.
+Resampling recounts the true induced degree with a join against the
+active set (Alg. 5's Resample).
 
 The run records the max per-destination message count per subround with
 and without sampling — the measured skew-reduction, Table/Fig. 11's
@@ -38,7 +39,6 @@ class SamplingDataflowStats:
     subrounds: int = 0
     resamples: int = 0
     max_dst_messages: int = 0  # max rows per destination in one subround
-    n_sampled: int = 0
 
 
 def _set_sampler(state: DataFrame, k: int, mu: int, r: float, threshold: int):
@@ -100,20 +100,27 @@ def kcore_dataflow_sampling(
         active = state.where(F.col("core") == -1)
         if active.isEmpty():
             break
-        if enable:
-            # Validate (Alg. 5): failures get resampled (recounted).
-            invalid = F.col("smode") & ~(
-                (F.col("deg") * r > k)
-                & (F.col("cnt") < F.col("rate") * (F.col("deg") - k) / 4.0)
-            )
-            state, n_res = _resample(spark, edges, state, invalid, k, mu, r, threshold)
-            stats.resamples += n_res
-        frontier = (
-            state.where((F.col("core") == -1) & ~F.col("smode") & (F.col("deg") <= k))
-            .select("id")
-            .localCheckpoint()
-        )
-        while not frontier.isEmpty():
+        frontier = _frontier(state, k)
+        while True:
+            if frontier.isEmpty():
+                if not enable:
+                    break
+                # Validate (Alg. 5) at the END of round k, as the engine
+                # does: a sampled vertex whose true degree fell to k
+                # during this round is peeled in it, not a round late
+                # (Sec. 4.1.2/4.1.4). Failures get resampled (recounted).
+                invalid = F.col("smode") & ~(
+                    (F.col("deg") * r > k)
+                    & (F.col("cnt") < F.col("rate") * (F.col("deg") - k) / 4.0)
+                )
+                state, n_res = _resample(
+                    spark, edges, state, invalid, k, mu, r, threshold
+                )
+                stats.resamples += n_res
+                if n_res == 0:
+                    break
+                frontier = _frontier(state, k)
+                continue
             iters += 1
             subround_id += 1
             stats.subrounds += 1
@@ -164,17 +171,20 @@ def kcore_dataflow_sampling(
                 stats.resamples += n_res
             if stats.subrounds % checkpoint_every == 0:
                 state = state.localCheckpoint()
-            frontier = (
-                state.where((F.col("core") == -1) & ~F.col("smode") & (F.col("deg") <= k))
-                .select("id")
-                .localCheckpoint()
-            )
+            frontier = _frontier(state, k)
         state = state.localCheckpoint()
         stats.rounds += 1
         k += 1
-    if enable:
-        stats.n_sampled = stats.resamples
     return state.select("id", F.col("core").alias("coreness")), stats
+
+
+def _frontier(state: DataFrame, k: int) -> DataFrame:
+    """Active, non-sampled vertices with degree <= k."""
+    return (
+        state.where((F.col("core") == -1) & ~F.col("smode") & (F.col("deg") <= k))
+        .select("id")
+        .localCheckpoint()
+    )
 
 
 def _resample(spark, edges, state, cond, k, mu, r, threshold):

@@ -8,9 +8,12 @@ worklist-based system.
 
 We implement:
 
-- ``kcore_subgraph``        ours-adapted: online subround peeling with
-  VGC local queues and the sampling scheme, on the machine simulator's
-  cost model (one "round", many subrounds).
+- ``kcore_subgraph``        ours-adapted: the engine's own round loop
+  (``_Engine.run(stop_at_k=k')``) with OURS's online peel, VGC local
+  queues, sampling (validated at the end of each round) and adaptive
+  HBS, stopped before round k' on the machine simulator's cost model.
+  A sampled run whose survivors fail the k'-core check reruns without
+  sampling (Las Vegas).
 - ``kcore_subgraph_galois`` the Galois-like baseline: an asynchronous
   worklist — no subround barriers (no omega per subround), but every
   activated task pays Galois's per-activity worklist overhead and full
@@ -30,45 +33,22 @@ import numpy as np
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
+from repro.bucket.interface import PEELED
 from repro.graphs.csr import CSR
+from repro.simcpu.configs import OURS
 from repro.simcpu.engine import AlgoConfig, _Engine
 from repro.simcpu.machine import MachineConfig
 from repro.simcpu.metrics import RunMetrics
 
 
-def _peel_below(
+def _survivors(
     g: CSR, kprime: int, algo: AlgoConfig, machine: MachineConfig
 ) -> tuple[np.ndarray, RunMetrics]:
-    """Run the engine but stop after round k'-1: everything with
-    coreness < k' is peeled; survivors are the k'-core."""
+    """Peel rounds 0..k'-1 of ``algo``; the unpeeled vertices are the
+    maximum k'-core. Returns (membership mask, metrics)."""
     eng = _Engine(g, algo, machine, collect=False)
-    build_cost = eng.structure.build(np.arange(g.n, dtype=np.int64), eng.deg)
-    eng._charge_parallel(build_cost, 1)
-    if algo.sampling:
-        eng._set_sampler(np.arange(g.n, dtype=np.int64), 0)
-        eng._charge_parallel(float(g.n), 1)
-    for k in range(kprime):
-        if not (eng.state != 2).any():
-            break  # everything peeled: the k'-core is empty
-        frontier, cost = eng.structure.next_frontier(k, eng.deg, eng.state)
-        eng._charge_parallel(cost, 1)
-        if algo.sampling:
-            joins = eng._validate(k)
-            if len(joins):
-                frontier = np.unique(np.concatenate([frontier, joins]))
-        eng.state[frontier] = 1
-        while len(frontier):
-            eng.core[frontier] = k
-            eng.state[frontier] = 2
-            eng.met.rho += 1
-            if algo.vgc:
-                frontier, _ = eng._peel_local(frontier, k, per_thread=False)
-            else:
-                frontier = eng._peel_batch(frontier, k)
-        eng.met.rounds += 1
-    member = eng.state != 2
-    eng.met.t_seq_units = eng.met.work * machine.t_op
-    return member, eng.met
+    _, met = eng.run(stop_at_k=kprime)
+    return eng.state != PEELED, met
 
 
 def kcore_subgraph(
@@ -82,19 +62,13 @@ def kcore_subgraph(
 ) -> tuple[np.ndarray, RunMetrics]:
     """Ours-adapted max k'-core (membership mask, metrics)."""
     machine = machine or MachineConfig()
-    algo = AlgoConfig(
-        name="ours-subgraph",
-        structure="adaptive",
-        vgc=vgc,
-        sampling=sampling,
-        seed=seed,
-    )
-    member, met = _peel_below(g, kprime, algo, machine)
+    algo = replace(OURS, name="ours-subgraph", vgc=vgc, sampling=sampling, seed=seed)
+    member, met = _survivors(g, kprime, algo, machine)
     if sampling:
         # Las Vegas check: survivors must all have >= k' surviving
         # neighbors; otherwise rerun without sampling.
         if not _is_kcore(g, member, kprime):
-            member, met = _peel_below(
+            member, met = _survivors(
                 g, kprime, replace(algo, sampling=False), machine
             )
             met.restarts = 1
@@ -112,7 +86,7 @@ def kcore_subgraph_galois(
     on the hottest location (no sampling)."""
     machine = machine or MachineConfig()
     algo = AlgoConfig(name="galois", structure="single", vgc=False, sampling=False)
-    member, met = _peel_below(g, kprime, algo, machine)
+    member, met = _survivors(g, kprime, algo, machine)
     # Re-price: remove the per-subround omega charges, add worklist
     # overhead per activation and keep the serialized contention.
     n_activated = int((~member).sum())
@@ -123,8 +97,10 @@ def kcore_subgraph_galois(
 
 
 def _is_kcore(g: CSR, member: np.ndarray, kprime: int) -> bool:
-    """Every member has >= k' member neighbors, and the peeled part is
-    certified by re-peeling (used as the sampling recovery check)."""
+    """Every member has >= k' member neighbors (the sampling recovery
+    check). Only members are checked: sampling can delay a vertex's
+    peel, never advance it, so a failure always leaves a member short
+    of neighbors."""
     if not member.any():
         return True
     src = np.repeat(np.arange(g.n), np.diff(g.indptr))

@@ -434,7 +434,9 @@ class _Engine:
 
     # -- main loop -----------------------------------------------------------
 
-    def run(self) -> tuple[np.ndarray, RunMetrics]:
+    def run(self, stop_at_k: int | None = None) -> tuple[np.ndarray, RunMetrics]:
+        """Peel round by round. With ``stop_at_k``, stop before that
+        round: the unpeeled vertices (state != PEELED) are its k-core."""
         build_cost = self.structure.build(np.arange(self.n, dtype=np.int64), self.deg)
         self._charge_parallel(build_cost, 1)
         if self.algo.sampling:
@@ -442,7 +444,7 @@ class _Engine:
             self._charge_parallel(float(self.n), 1)
         remaining = self.n
         k = 0
-        while remaining > 0:
+        while remaining > 0 and (stop_at_k is None or k < stop_at_k):
             frontier, cost = self.structure.next_frontier(k, self.deg, self.state)
             self._charge_parallel(cost, 1)
             self.state[frontier] = QUEUED
@@ -454,14 +456,9 @@ class _Engine:
                     remaining -= len(frontier)
                     self.met.rho += 1
                     subrounds += 1
-                    if self.algo.local_buffer:
+                    if self.algo.local_buffer or self.algo.vgc:
                         frontier, inside = self._peel_local(
-                            frontier, k, per_thread=True
-                        )
-                        remaining -= inside
-                    elif self.algo.vgc:
-                        frontier, inside = self._peel_local(
-                            frontier, k, per_thread=False
+                            frontier, k, per_thread=self.algo.local_buffer
                         )
                         remaining -= inside
                     else:

@@ -134,7 +134,7 @@ Regenerate this file with `python -m repro.tables.report`.
 | VGC gain on sparse graphs | 1.72–31.2x | 1.1–3.2x (GRID largest, matching the paper's ordering) |
 | VGC subround reduction (Fig. 7) | 5–40x sparse, up to 9.1x dense | 2.5–15x sparse, 1.3–1.8x dense |
 | Burdened span vs Julienne (Fig. 9) | 1.6–7.9x w/o VGC, up to 147x w/ VGC | 1.6–2.9x w/o VGC, up to 34x w/ VGC (GRID) |
-| Max k'-core vs Galois (Fig. 12) | 1.6–6.2x | 1.2–10x for k >= 32; Galois ahead at k <= 16 on OK (k-core ~ whole graph there at our scale) |
+| Max k'-core vs Galois (Fig. 12) | 1.6–6.2x | 1.2–7.7x for k >= 32; Galois ahead at k <= 16 on OK (k-core ~ whole graph there at our scale) |
 
 ## Known divergences (and why)
 

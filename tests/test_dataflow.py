@@ -10,6 +10,7 @@ import pandas as pd
 import pytest
 
 from repro.graphs import generators as gen
+from repro.graphs.csr import build_csr
 from repro.graphs.spark_graph import edges_to_df
 from repro.oracle import assert_equivalent
 from repro.seq.bz import bz_kcore
@@ -95,8 +96,6 @@ def _hub_graph():
     m = a < b
     src += list(a[m]) + [0, 1]
     dst += list(b[m]) + [2, 3]
-    from repro.graphs.csr import build_csr
-
     return build_csr(412, np.array(src), np.array(dst))
 
 
@@ -114,3 +113,19 @@ def test_sampling_dataflow_exact_and_reduces_skew(spark):
     # The dataflow contention analogue: hot-key rows in the histogram
     # shuffle drop by an order of magnitude under sampling.
     assert st_s.max_dst_messages < st_p.max_dst_messages / 3
+
+
+def test_sampling_dataflow_peels_hubs_in_their_round(spark):
+    """64 disjoint 300-leaf stars at the defaults: every hub is sampled
+    (mu = 99 < 300). All leaves go in round 1; a hub whose sample count
+    stays below mu must still be caught by round 1's closing Validate
+    and get coreness 1, not 2."""
+    from repro.core.sampling import kcore_dataflow_sampling
+
+    hubs = np.arange(64) * 301
+    g = build_csr(
+        64 * 301, np.repeat(hubs, 300), (hubs[:, None] + np.arange(1, 301)).ravel()
+    )
+    res, st = kcore_dataflow_sampling(spark, edges_to_df(spark, g))
+    assert_equivalent(res, "SELECT id, coreness FROM expected", expected=_expected_df(g))
+    assert st.resamples > 0

@@ -10,7 +10,10 @@ from repro.core.subgraph import (
 )
 from repro.graphs import generators as gen
 from repro.graphs.spark_graph import edges_to_df
+from repro.graphs.suite import load_graph
 from repro.seq.bz import bz_kcore
+from repro.simcpu.configs import OURS
+from repro.simcpu.engine import run_kcore
 
 
 @pytest.fixture(scope="module")
@@ -34,6 +37,17 @@ def test_galois_baseline_same_result(hub_graph, k):
     assert np.array_equal(mask, core >= k)
     assert met.algo == "galois"
     assert met.t_par_units > 0
+
+
+@pytest.mark.parametrize("which", ["hub", "TW"])
+def test_subgraph_above_kmax_is_the_full_run(hub_graph, which):
+    """k' = k_max + 1 peels everything, through the engine's one round
+    loop: the metrics equal a full ``run_kcore`` of the same config."""
+    g = hub_graph[0] if which == "hub" else load_graph("TW", "mini")
+    core, full = run_kcore(g, OURS)
+    _, sub = kcore_subgraph(g, int(core.max()) + 1)
+    for f in ("rounds", "rho", "work", "t_par_units", "resamples", "validations"):
+        assert getattr(sub, f) == getattr(full, f), f
 
 
 def test_empty_core(hub_graph):
