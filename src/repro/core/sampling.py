@@ -11,11 +11,22 @@ addressed to a sample-mode vertex is kept only with probability
 hot keys receive O(mu) rows per resample epoch instead of O(d(v)).
 
 State columns per vertex: deg (stale while sampled), core, smode, rate,
-cnt. Each subround splits the removal messages into sampled hits
-(cnt += hits, resample at cnt >= mu) and plain decrements; each round
-ends with Validate, whose resampled vertices may extend the round.
-Resampling recounts the true induced degree with a join against the
-active set (Alg. 5's Resample).
+cnt, mx (the most messages the vertex received in one subround). The
+run uses the round/subround driver of ``core/framework.py`` with its
+own peel step: the removal messages are routed by the destination's
+sampler (a broadcast of the sampled vertices) into sampled hits
+(cnt += hits) and plain decrements, in the same one-shuffle histogram
+as the framework. Between subrounds, vertices with cnt >= mu are
+resampled, and each round ends with Validate, whose resampled vertices
+may extend the round. Resampling recounts the true induced degree with
+a join against the active set (Alg. 5's Resample).
+
+Rounds are skipped as in the framework, but a jump must not pass a
+sampled vertex's Validate point: for it the next round is bounded by
+the smallest k at which Validate rejects it,
+min(ceil(r*deg), ceil(deg - 4*cnt/rate)). Neither deg nor cnt of a
+sampled vertex changes in a round without subrounds, so every skipped
+round is one in which Validate would have rejected nothing.
 
 The run records the max per-destination message count per subround with
 and without sampling — the measured skew-reduction, Table/Fig. 11's
@@ -27,9 +38,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 import math
 
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import DataFrame, Row, SparkSession
 from pyspark.sql import functions as F
 
+from repro.core.framework import ACTIVE, PeelStep, drive, frontier_edges, union_messages
 from repro.graphs.spark_graph import degrees
 
 
@@ -37,26 +49,27 @@ from repro.graphs.spark_graph import degrees
 class SamplingDataflowStats:
     rounds: int = 0
     subrounds: int = 0
+    subrounds_per_round: list = field(default_factory=list)
     resamples: int = 0
     max_dst_messages: int = 0  # max rows per destination in one subround
 
 
+def _double(x: float) -> str:
+    """``x`` as a Spark SQL DOUBLE literal (a bare 0.1 is a DECIMAL)."""
+    return f"{float(x)!r}D"
+
+
 def _set_sampler(state: DataFrame, k: int, mu: int, r: float, threshold: int):
     """Vectorized SetSampler over rows flagged ``reset``."""
-    on = (
-        F.col("reset")
-        & (F.col("deg") * r > k)
-        & (F.col("deg") > threshold)
-    )
-    return state.select(
+    on = f"(reset AND deg * {_double(r)} > {k} AND deg > {threshold})"
+    return state.selectExpr(
         "id",
         "deg",
         "core",
-        F.when(F.col("reset"), on).otherwise(F.col("smode")).alias("smode"),
-        F.when(on, F.lit(float(mu)) / ((1.0 - r) * F.col("deg")))
-        .otherwise(F.col("rate"))
-        .alias("rate"),
-        F.when(F.col("reset"), F.lit(0)).otherwise(F.col("cnt")).alias("cnt"),
+        f"IF(reset, {on}, smode) AS smode",
+        f"IF({on}, {_double(mu)} / ({_double(1.0 - r)} * deg), rate) AS rate",
+        "IF(reset, 0, cnt) AS cnt",
+        "mx",
     )
 
 
@@ -69,7 +82,6 @@ def kcore_dataflow_sampling(
     threshold: int = 0,
     seed: int = 42,
     enable: bool = True,
-    checkpoint_every: int = 6,
     max_iterations: int = 10_000,
 ) -> tuple[DataFrame, SamplingDataflowStats]:
     """k-core with the sampling scheme over DataFrame ops.
@@ -77,146 +89,104 @@ def kcore_dataflow_sampling(
     ``enable=False`` runs the identical loop without sampling, for the
     skew comparison. Returns ((id, coreness), stats).
     """
-    edges = edges.select("src", "dst").cache()
+    edges = edges.select("src", "dst")
     n = edges.select("src").distinct().count()
     mu = math.ceil(4 * sample_c * math.log(max(n, 2)))
     threshold = threshold or max(64, 2 * mu)
-    r = sample_r
-    state = (
-        degrees(edges)
-        .withColumn("core", F.lit(-1))
-        .withColumn("smode", F.lit(False))
-        .withColumn("rate", F.lit(0.0))
-        .withColumn("cnt", F.lit(0))
+    r = _double(sample_r)
+    state = degrees(edges).selectExpr(
+        "id", "deg", "-1 AS core", "false AS smode", "0.0D AS rate", "0 AS cnt",
+        "CAST(0 AS BIGINT) AS mx", "true AS reset",
     )
     if enable:
-        state = _set_sampler(state.withColumn("reset", F.lit(True)), 0, mu, r, threshold)
-    state = state.localCheckpoint()
+        state = _set_sampler(state, 0, mu, sample_r, threshold)
+    state = state.drop("reset").localCheckpoint()
     stats = SamplingDataflowStats()
-    k = 0
-    iters = 0
     subround_id = 0
-    while True:
-        active = state.where(F.col("core") == -1)
-        if active.isEmpty():
-            break
-        frontier = _frontier(state, k)
-        while True:
-            if frontier.isEmpty():
-                if not enable:
-                    break
-                # Validate (Alg. 5) at the END of round k, as the engine
-                # does: a sampled vertex whose true degree fell to k
-                # during this round is peeled in it, not a round late
-                # (Sec. 4.1.2/4.1.4). Failures get resampled (recounted).
-                invalid = F.col("smode") & ~(
-                    (F.col("deg") * r > k)
-                    & (F.col("cnt") < F.col("rate") * (F.col("deg") - k) / 4.0)
-                )
-                state, n_res = _resample(
-                    spark, edges, state, invalid, k, mu, r, threshold
-                )
-                stats.resamples += n_res
-                if n_res == 0:
-                    break
-                frontier = _frontier(state, k)
-                continue
-            iters += 1
-            subround_id += 1
-            stats.subrounds += 1
-            if iters > max_iterations:
-                raise RuntimeError("sampling dataflow exceeded iteration budget")
-            state = state.join(
-                frontier.withColumn("is_f", F.lit(1)), "id", "left"
-            ).select(
-                "id", "deg",
-                F.when(F.col("is_f") == 1, k).otherwise(F.col("core")).alias("core"),
-                "smode", "rate", "cnt",
-            )
-            # Removal messages of this subround.
-            msgs = edges.join(frontier.withColumnRenamed("id", "src"), "src")
-            # Route per destination's sampler mode.
-            routed = msgs.join(
-                state.select(
-                    F.col("id").alias("dst"), "smode", F.col("rate").alias("p")
-                ),
-                "dst",
-            )
-            coin = (
-                F.pmod(F.xxhash64("src", "dst", F.lit(subround_id), F.lit(seed)), 1_000_000)
-                / 1_000_000.0
-            )
-            kept = routed.where(~F.col("smode") | (coin < F.col("p")))
-            decr = kept.groupBy(F.col("dst").alias("id"), "smode").agg(
-                F.count("*").alias("c")
-            ).localCheckpoint()
-            skew = decr.agg(F.max("c")).collect()[0][0]
-            stats.max_dst_messages = max(stats.max_dst_messages, int(skew or 0))
-            state = state.join(decr.select("id", "c", F.col("smode").alias("sm2")), "id", "left").select(
-                "id",
-                F.when(F.col("sm2").isNull() | ~F.col("sm2"), F.col("deg") - F.coalesce("c", F.lit(0)))
-                .otherwise(F.col("deg"))
-                .alias("deg"),
-                "core",
-                "smode",
-                "rate",
-                F.when(F.col("sm2") == True, F.col("cnt") + F.col("c"))  # noqa: E712
-                .otherwise(F.col("cnt"))
-                .alias("cnt"),
-            )
-            if enable:
-                # Vertices with enough samples: recount + resample.
-                full = F.col("smode") & (F.col("cnt") >= mu)
-                state, n_res = _resample(spark, edges, state, full, k, mu, r, threshold)
-                stats.resamples += n_res
-            if stats.subrounds % checkpoint_every == 0:
-                state = state.localCheckpoint()
-            frontier = _frontier(state, k)
-        state = state.localCheckpoint()
-        stats.rounds += 1
-        k += 1
-    return state.select("id", F.col("core").alias("coreness")), stats
 
+    def frontier(k: int) -> str:
+        return f"{ACTIVE} AND NOT smode AND deg <= {k}"
 
-def _frontier(state: DataFrame, k: int) -> DataFrame:
-    """Active, non-sampled vertices with degree <= k."""
-    return (
-        state.where((F.col("core") == -1) & ~F.col("smode") & (F.col("deg") <= k))
-        .select("id")
-        .localCheckpoint()
-    )
-
-
-def _resample(spark, edges, state, cond, k, mu, r, threshold):
-    """Recount the true induced degree of vertices matching ``cond``
-    (a Column over state), reset their samplers (Alg. 5 Resample)."""
-    targets = state.where(cond & (F.col("core") == -1)).select("id")
-    n_res = targets.count()
-    if n_res == 0:
-        return state, 0
-    true_deg = (
-        edges.join(targets.withColumnRenamed("id", "src"), "src")
-        .join(
-            state.where(F.col("core") == -1).select(F.col("id").alias("dst")),
-            "dst",
+    def peel(state: DataFrame, k: int, probe: Row) -> DataFrame:
+        nonlocal subround_id
+        subround_id += 1
+        f = frontier(k)
+        msgs = frontier_edges(edges, state, f)
+        if probe[2]:
+            # Route per destination's sampler mode. The sampled (id,
+            # rate) pairs come from the probe, as an inline table (no
+            # Spark job to broadcast it): a join with the state itself
+            # would multiply the size estimate by the state's every
+            # subround (see frontier_edges).
+            rows = ", ".join(f"({v.id}, {_double(v.rate)})" for v in probe[2])
+            sampled = spark.sql(f"SELECT * FROM VALUES {rows} AS t(dst, p)")
+            coin = f"pmod(xxhash64(src, dst, {subround_id}, {seed}), 1000000) / 1000000D"
+            msgs = msgs.join(F.broadcast(sampled), "dst", "left").where(
+                f"p IS NULL OR {coin} < p"
+            )
+        grouped = union_messages(
+            state, msgs, ["deg", "core", "smode", "rate", "cnt", "mx", f"{f} AS f"]
         )
-        .groupBy(F.col("src").alias("id"))
-        .agg(F.count("*").alias("td"))
-    )
-    state = (
-        state.join(targets.withColumn("reset", F.lit(True)), "id", "left")
-        .join(true_deg, "id", "left")
-        .select(
+        return grouped.selectExpr(
             "id",
-            F.when(F.col("reset"), F.coalesce("td", F.lit(0)))
-            .otherwise(F.col("deg"))
-            .alias("deg"),
-            "core",
-            F.when(F.col("reset"), F.lit(False)).otherwise(F.col("smode")).alias("smode"),
+            "IF(smode, deg, deg - c) AS deg",
+            f"IF(f, {k}, core) AS core",
+            "smode",
             "rate",
-            "cnt",
-            F.coalesce("reset", F.lit(False)).alias("reset"),
-        )
+            "IF(smode, cnt + c, cnt) AS cnt",
+            "greatest(mx, c) AS mx",
+        ).localCheckpoint()
+
+    # The smallest k at which Validate rejects a sampled vertex; the
+    # 1e-6 keeps the second term a lower bound under rounding.
+    validate_k = f"least(ceil(deg * {r}), ceil(deg - 4.0D * cnt / rate - 1e-6D))"
+    # The active sampled vertices, for routing, resampling and Validate.
+    extra = (f"collect_list(CASE WHEN {ACTIVE} AND smode THEN struct(id, deg, rate, cnt) END)",)
+
+    def settle(state: DataFrame, k: int, probe: Row) -> DataFrame | None:
+        # Vertices with enough samples: recount + resample.
+        ids = [v.id for v in probe[2] if v.cnt >= mu]
+        if not ids and (probe[1] is None or probe[1] > k):
+            # Validate (Alg. 5) at the END of round k, as the engine
+            # does: a sampled vertex whose true degree fell to k
+            # during this round is peeled in it, not a round late
+            # (Sec. 4.1.2/4.1.4). Failures get resampled (recounted).
+            # Python's float arithmetic here is Spark's double's.
+            ids = [
+                v.id for v in probe[2]
+                if not (v.deg * sample_r > k and v.cnt < v.rate * (v.deg - k) / 4.0)
+            ]
+        if not ids:
+            return None
+        stats.resamples += len(ids)
+        return _resample(edges, state, ids, k, mu, sample_r, threshold)
+
+    step = PeelStep(
+        peel, f"IF(smode, {validate_k}, deg)", "IF(smode, NULL, deg)", extra, settle
     )
-    state = _set_sampler(state, k, mu, r, threshold).localCheckpoint()
-    return state, int(n_res)
+    state = drive(state, step, stats, max_iterations)
+    stats.max_dst_messages = int(state.selectExpr("max(mx)").first()[0] or 0)
+    return state.selectExpr("id", "core AS coreness"), stats
+
+
+def _resample(edges, state, ids, k, mu, r, threshold):
+    """Recount the true induced degree of the vertices ``ids``, reset
+    their samplers (Alg. 5 Resample)."""
+    # One message per edge from a target to an active vertex, sent back
+    # to the target: the count is the target's true induced degree.
+    listed = ",".join(map(str, ids))
+    live = F.broadcast(state.where(ACTIVE).selectExpr("id AS dst"))
+    back = edges.where(f"src IN ({listed})").join(live, "dst", "left_semi")
+    back = back.selectExpr("src AS dst")
+    reset = f"id IN ({listed})"
+    state = union_messages(state, back, ["deg", "core", "smode", "rate", "cnt", "mx"]).selectExpr(
+        "id",
+        f"IF({reset}, c, deg) AS deg",
+        "core",
+        f"smode AND NOT {reset} AS smode",
+        "rate",
+        "cnt",
+        "mx",
+        f"{reset} AS reset",
+    )
+    return _set_sampler(state, k, mu, r, threshold).localCheckpoint()

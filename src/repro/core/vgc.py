@@ -3,14 +3,15 @@
 The shared-memory VGC chains cascading peels inside one subround via
 per-vertex local queues, cutting the number of subrounds (global
 synchronizations) from rho to rho'. The dataflow analogue: vertices are
-hash-partitioned into blocks; each subround ships the frontier to its
-blocks, and an ``applyInPandas`` task runs the *local cascade* for its
-block — peeling any chain that stays inside the block (bounded by the
-local queue cap) — while decrements to vertices of other blocks are
-emitted as messages and exchanged at the subround boundary. A subround
-is therefore one Spark stage + one message exchange, and the number of
-Spark iterations is the dataflow rho', directly comparable to the
-paper's Fig. 7.
+hash-partitioned into blocks; each subround broadcasts the frontier
+with the degree and peel state, and one ``mapInPandas`` task per block
+(over ``spark.range(n_blocks)``) runs the *local cascade* for the
+block's seeds — peeling any chain that stays inside the block (bounded
+by the local queue cap) — while decrements to vertices of other blocks
+are emitted as messages and collected at the subround boundary. A
+subround is therefore one Spark job, and the number of Spark iterations
+is the dataflow rho', directly comparable to the paper's Fig. 7. Rounds
+whose frontier is empty run no Spark job.
 
 Correctness: within a block the cascade is a legal sequential schedule;
 cross-block decrements are deferred to the barrier, which is exactly
@@ -26,7 +27,7 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
-from repro.graphs.csr import CSR
+from repro.graphs.csr import CSR, gather_neighbors
 
 _ACTIVE, _QUEUED, _PEELED = 0, 1, 2
 
@@ -39,7 +40,8 @@ class VgcDataflowStats:
 
 
 def _cascade_block(
-    pdf: pd.DataFrame,
+    seeds: np.ndarray,
+    my_block: int,
     indptr: np.ndarray,
     adj: np.ndarray,
     deg: np.ndarray,
@@ -56,10 +58,9 @@ def _cascade_block(
     so they are *not* messaged — that would double-count them).
     """
     deg = deg.copy()  # block-local view; the driver re-derives updates
-    my_block = int(pdf["block"].iloc[0])
     peeled: list[int] = []
     msgs: list[int] = []
-    for seed in pdf["id"]:
+    for seed in seeds:
         queue = [int(seed)]
         enqueued = 1
         qi = 0
@@ -107,6 +108,7 @@ def kcore_dataflow_vgc(
     bc_graph = sc.broadcast((g.indptr, g.adj))
     block_of = (np.arange(n, dtype=np.int64) % n_blocks).astype(np.int64)
     bc_block = sc.broadcast(block_of)
+    blocks = spark.range(n_blocks, numPartitions=n_blocks)
     deg = g.degrees().astype(np.int64)
     state = np.zeros(n, dtype=np.int8)
     core = np.zeros(n, dtype=np.int64)
@@ -125,25 +127,21 @@ def kcore_dataflow_vgc(
             core[frontier] = k
             state[frontier] = _PEELED
             remaining -= len(frontier)
-            bc_deg = sc.broadcast(deg)
-            bc_state = sc.broadcast(state)
-            fdf = spark.createDataFrame(
-                pd.DataFrame({"id": frontier, "block": block_of[frontier]})
-            )
+            bc_sub = sc.broadcast((frontier, deg, state))
             kk, qc = int(k), int(queue_cap)
 
-            def run_block(pdf: pd.DataFrame) -> pd.DataFrame:
+            def run_blocks(batches):
+                front, dg, st = bc_sub.value
                 ip, aj = bc_graph.value
-                return _cascade_block(
-                    pdf, ip, aj, bc_deg.value, bc_state.value.copy(),
-                    bc_block.value, kk, qc,
-                )
+                blk = bc_block.value
+                for pdf in batches:
+                    for b in pdf["id"]:
+                        yield _cascade_block(
+                            front[blk[front] == b], int(b), ip, aj, dg, st.copy(),
+                            blk, kk, qc,
+                        )
 
-            out = (
-                fdf.groupBy("block")
-                .applyInPandas(run_block, schema="id long, kind int")
-                .toPandas()
-            )
+            out = blocks.mapInPandas(run_blocks, schema="id long, kind int").toPandas()
             peeled = out.loc[out["kind"] == 0, "id"].to_numpy(np.int64)
             msgs = out.loc[out["kind"] == 1, "id"].to_numpy(np.int64)
             # Chained peels: record and account for them.
@@ -153,13 +151,10 @@ def kcore_dataflow_vgc(
             remaining -= len(chained)
             # Apply in-block decrements implied by the peels, then the
             # cross-block / spilled messages.
-            all_peeled_now = peeled
-            from repro.graphs.csr import gather_neighbors
-
-            nbrs = gather_neighbors(g.indptr, g.adj, all_peeled_now)
+            nbrs = gather_neighbors(g.indptr, g.adj, peeled)
             in_block_dec = nbrs[
                 (block_of[nbrs] == block_of[np.repeat(
-                    all_peeled_now, np.diff(g.indptr)[all_peeled_now]
+                    peeled, np.diff(g.indptr)[peeled]
                 )])
                 & (state[nbrs] == _ACTIVE)
             ]
@@ -170,8 +165,7 @@ def kcore_dataflow_vgc(
             frontier = np.flatnonzero((state == _ACTIVE) & (deg <= k)).astype(
                 np.int64
             )
-            bc_deg.destroy()
-            bc_state.destroy()
+            bc_sub.destroy()
         stats.rounds += 1
         stats.subrounds += sub
         stats.subrounds_per_round.append(sub)

@@ -2,8 +2,10 @@
 framework (Alg. 1 offline), VGC block cascades, sampling. Results are
 checked against BZ through the DuckDB oracle.
 
-Each Spark iteration costs ~1s of driver/scheduler time, so these
-integration tests use tiny graphs with single-digit subround counts;
+A ``kcore_dataflow`` subround costs 4 Spark jobs (plus 3 per call;
+``test_kcore_dataflow_jobs_per_subround`` gates it) and about 0.3 s of
+driver/scheduler time in a warm session on 4 vCPUs, so these
+integration tests use tiny graphs with a few dozen subrounds at most;
 benchmark-scale behaviour is covered by the machine simulator."""
 import numpy as np
 import pandas as pd
@@ -49,7 +51,6 @@ def test_kcore_dataflow_oracle(spark, graph_and_truth, name):
     g, expected = graph_and_truth[name]
     result, stats = kcore_dataflow(spark, edges_to_df(spark, g))
     assert_equivalent(result, "SELECT id, coreness FROM expected", expected=expected)
-    # Rounds with an empty initial frontier contribute zero subrounds.
     assert stats.rounds >= 1 and stats.subrounds >= 1
 
 
@@ -62,6 +63,42 @@ def test_kcore_dataflow_bucketed_oracle(spark, graph_and_truth):
     result, stats = kcore_dataflow(spark, edges_to_df(spark, g), bucket_width=4)
     assert_equivalent(result, "SELECT id, coreness FROM expected", expected=expected)
     assert stats.pool_builds <= stats.rounds / 2
+
+
+def _gaps():
+    """A 4-clique (coreness 3) and 6 disjoint edges (coreness 1): the
+    round for k = 2 is empty."""
+    a, b = np.meshgrid(np.arange(4), np.arange(4))
+    pairs = np.arange(4, 16).reshape(-1, 2)
+    return build_csr(
+        16,
+        np.concatenate([a[a < b], pairs[:, 0]]),
+        np.concatenate([b[a < b], pairs[:, 1]]),
+    )
+
+
+@pytest.mark.parametrize("bucket_width", [1, 4])
+@pytest.mark.parametrize("name", ["gaps", "mesh"])
+def test_kcore_dataflow_jobs_per_subround(spark, name, bucket_width):
+    """A subround is one shuffle plus one probe, and empty rounds are
+    skipped: at most 5 Spark jobs per subround plus 4 per call, and one
+    round per distinct coreness value."""
+    from repro.core.framework import kcore_dataflow
+
+    g = _gaps() if name == "gaps" else GRAPHS[name]()
+    edges = edges_to_df(spark, g)
+    sc = spark.sparkContext
+    group = f"jobs-gate-{name}-{bucket_width}"
+    sc.setJobGroup(group, group)
+    try:
+        result, stats = kcore_dataflow(spark, edges, bucket_width=bucket_width)
+    finally:
+        sc.setJobGroup("", "")
+    jobs = len(sc.statusTracker().getJobIdsForGroup(group))
+    expected = _expected_df(g)
+    assert_equivalent(result, "SELECT id, coreness FROM expected", expected=expected)
+    assert jobs <= 5 * stats.subrounds + 4
+    assert stats.rounds == expected["coreness"].nunique()
 
 
 @pytest.mark.parametrize("name", ["mesh", "hcns"])
@@ -128,4 +165,17 @@ def test_sampling_dataflow_peels_hubs_in_their_round(spark):
     )
     res, st = kcore_dataflow_sampling(spark, edges_to_df(spark, g))
     assert_equivalent(res, "SELECT id, coreness FROM expected", expected=_expected_df(g))
+    assert st.resamples > 0
+
+
+def test_sampling_dataflow_round_jumps_stay_exact(spark, graph_and_truth):
+    """With threshold 8 the social graph's vertices of degree > 8 start
+    in sample mode, so round jumps are bounded by Validate points and
+    Validate rejects vertices in four rounds (k = 1..4); coreness stays
+    exact."""
+    from repro.core.sampling import kcore_dataflow_sampling
+
+    g, expected = graph_and_truth["social"]
+    res, st = kcore_dataflow_sampling(spark, edges_to_df(spark, g), threshold=8)
+    assert_equivalent(res, "SELECT id, coreness FROM expected", expected=expected)
     assert st.resamples > 0
