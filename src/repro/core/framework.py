@@ -45,8 +45,8 @@ from repro.graphs.spark_graph import degrees
 
 
 # Every expression below is Spark SQL text: one Py4J call builds it,
-# where a Column tree of the same expression costs one per node, and
-# those calls were a third of a warm test-scale call.
+# where a Column tree costs one per node (a third of a warm call's time
+# on the 100-vertex test mesh).
 ACTIVE = "core = -1"  # the rows not yet peeled
 
 
@@ -65,10 +65,10 @@ class PeelStep:
     """What a program plugs into ``drive``.
 
     ``peel(state, k, probe)`` runs one subround on a checkpointed state
-    and returns the next one, checkpointed. Over active rows, ``next_k`` is a
-    lower bound on the first round that can peel or validate the row,
-    and ``frontier_deg`` the degree at which the row joins a frontier
-    (null while it cannot). The probe is the row (min next_k, min
+    and returns the next one, checkpointed. Over active rows, ``next_k``
+    is a lower bound on the first round that can peel or validate the
+    row, and ``frontier_deg`` the degree at which the row joins a
+    frontier (null while it cannot). The probe is the row (min next_k, min
     frontier_deg, *``extra`` aggregates); ``settle(state, k, probe)``,
     called before each subround and at the round's end, may return a
     new checkpointed state (the driver probes it again), or None.
@@ -163,12 +163,9 @@ def kcore_dataflow(
     def rebuild(k: int) -> bool:
         return pool_base is None or k >= pool_base + bucket_width
 
-    def frontier(k: int) -> str:
-        return f"{ACTIVE} AND deg <= {k} AND (pool OR {rebuild(k)})"
-
     def peel(state: DataFrame, k: int, probe: Row) -> DataFrame:
         nonlocal pool_base
-        f = frontier(k)
+        f = f"{ACTIVE} AND deg <= {k} AND (pool OR {rebuild(k)})"
         grouped = union_messages(
             state, frontier_edges(edges, state, f), ["deg", "core", "pool", f"{f} AS f"]
         )

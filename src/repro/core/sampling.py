@@ -14,11 +14,11 @@ State columns per vertex: deg (stale while sampled), core, smode, rate,
 cnt, mx (the most messages the vertex received in one subround). The
 run uses the round/subround driver of ``core/framework.py`` with its
 own peel step: the removal messages are routed by the destination's
-sampler (a broadcast of the sampled vertices) into sampled hits
-(cnt += hits) and plain decrements, in the same one-shuffle histogram
-as the framework. Between subrounds, vertices with cnt >= mu are
-resampled, and each round ends with Validate, whose resampled vertices
-may extend the round. Resampling recounts the true induced degree with
+sampler (the probe lists the sampled vertices, which are broadcast as
+an inline table) into sampled hits (cnt += hits) and plain decrements,
+in the same one-shuffle histogram as the framework. Between subrounds,
+vertices with cnt >= mu are resampled, and each round ends with
+Validate, whose resampled vertices may extend the round. Resampling recounts the true induced degree with
 a join against the active set (Alg. 5's Resample).
 
 Rounds are skipped as in the framework, but a jump must not pass a
@@ -104,13 +104,10 @@ def kcore_dataflow_sampling(
     stats = SamplingDataflowStats()
     subround_id = 0
 
-    def frontier(k: int) -> str:
-        return f"{ACTIVE} AND NOT smode AND deg <= {k}"
-
     def peel(state: DataFrame, k: int, probe: Row) -> DataFrame:
         nonlocal subround_id
         subround_id += 1
-        f = frontier(k)
+        f = f"{ACTIVE} AND NOT smode AND deg <= {k}"
         msgs = frontier_edges(edges, state, f)
         if probe[2]:
             # Route per destination's sampler mode. The sampled (id,
@@ -141,7 +138,9 @@ def kcore_dataflow_sampling(
     # 1e-6 keeps the second term a lower bound under rounding.
     validate_k = f"least(ceil(deg * {r}), ceil(deg - 4.0D * cnt / rate - 1e-6D))"
     # The active sampled vertices, for routing, resampling and Validate.
-    extra = (f"collect_list(CASE WHEN {ACTIVE} AND smode THEN struct(id, deg, rate, cnt) END)",)
+    extra = (
+        f"collect_list(CASE WHEN {ACTIVE} AND smode THEN struct(id, deg, rate, cnt) END)",
+    )
 
     def settle(state: DataFrame, k: int, probe: Row) -> DataFrame | None:
         # Vertices with enough samples: recount + resample.

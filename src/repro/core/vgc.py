@@ -4,11 +4,11 @@ The shared-memory VGC chains cascading peels inside one subround via
 per-vertex local queues, cutting the number of subrounds (global
 synchronizations) from rho to rho'. The dataflow analogue: vertices are
 hash-partitioned into blocks; each subround broadcasts the frontier
-with the degree and peel state, and one ``mapInPandas`` task per block
-(over ``spark.range(n_blocks)``) runs the *local cascade* for the
-block's seeds — peeling any chain that stays inside the block (bounded
-by the local queue cap) — while decrements to vertices of other blocks
-are emitted as messages and collected at the subround boundary. A
+with the degree and peel state, and a ``mapInPandas`` over
+``spark.range(n_blocks)`` runs the *local cascade* of each block's
+seeds — peeling any chain that stays inside the block (bounded by the
+local queue cap) — while decrements to vertices of other blocks are
+emitted as messages and collected at the subround boundary. A
 subround is therefore one Spark job, and the number of Spark iterations
 is the dataflow rho', directly comparable to the paper's Fig. 7. Rounds
 whose frontier is empty run no Spark job.
@@ -108,7 +108,9 @@ def kcore_dataflow_vgc(
     bc_graph = sc.broadcast((g.indptr, g.adj))
     block_of = (np.arange(n, dtype=np.int64) % n_blocks).astype(np.int64)
     bc_block = sc.broadcast(block_of)
-    blocks = spark.range(n_blocks, numPartitions=n_blocks)
+    # One task runs every block's cascade: a task per block would start a
+    # Python worker per block, each holding its own NumPy and pandas.
+    blocks = spark.range(n_blocks, numPartitions=1)
     deg = g.degrees().astype(np.int64)
     state = np.zeros(n, dtype=np.int8)
     core = np.zeros(n, dtype=np.int64)
