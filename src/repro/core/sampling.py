@@ -18,8 +18,9 @@ sampler (the probe lists the sampled vertices, which are broadcast as
 an inline table) into sampled hits (cnt += hits) and plain decrements,
 in the same one-shuffle histogram as the framework. Between subrounds,
 vertices with cnt >= mu are resampled, and each round ends with
-Validate, whose resampled vertices may extend the round. Resampling recounts the true induced degree with
-a join against the active set (Alg. 5's Resample).
+Validate, whose resampled vertices may extend the round. Resampling
+recounts the true induced degree with a join against the active set
+(Alg. 5's Resample).
 
 Rounds are skipped as in the framework, but a jump must not pass a
 sampled vertex's Validate point: for it the next round is bounded by
@@ -111,10 +112,11 @@ def kcore_dataflow_sampling(
         msgs = frontier_edges(edges, state, f)
         if probe[2]:
             # Route per destination's sampler mode. The sampled (id,
-            # rate) pairs come from the probe, as an inline table (no
-            # Spark job to broadcast it): a join with the state itself
-            # would multiply the size estimate by the state's every
-            # subround (see frontier_edges).
+            # rate) pairs come from the probe, as an inline table (a
+            # DataFrame built from Python rows needs a Python worker):
+            # a join with the state itself would multiply the size
+            # estimate by the state's every subround (see
+            # frontier_edges).
             rows = ", ".join(f"({v.id}, {_double(v.rate)})" for v in probe[2])
             sampled = spark.sql(f"SELECT * FROM VALUES {rows} AS t(dst, p)")
             coin = f"pmod(xxhash64(src, dst, {subround_id}, {seed}), 1000000) / 1000000D"
