@@ -9,7 +9,7 @@ from repro.bucket.fixed import FixedBuckets  # noqa: F401
 from repro.bucket.hbs import HBS, AdaptiveHBS  # noqa: F401
 
 
-def make_structure(name: str, n: int, **kw) -> FrontierStructure:
+def make_structure(name: str, n: int) -> FrontierStructure:
     """Factory used by simulator configs: 'scan_all' | 'single' |
     'fixed' | 'hbs' | 'adaptive'."""
     if name == "scan_all":
@@ -17,9 +17,9 @@ def make_structure(name: str, n: int, **kw) -> FrontierStructure:
     if name == "single":
         return SingleBucket(n)
     if name == "fixed":
-        return FixedBuckets(n, **kw)
+        return FixedBuckets(n)
     if name == "hbs":
-        return HBS(n, **kw)
+        return HBS(n)
     if name == "adaptive":
-        return AdaptiveHBS(n, **kw)
+        return AdaptiveHBS(n)
     raise ValueError(f"unknown frontier structure {name!r}")

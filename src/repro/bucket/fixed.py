@@ -13,16 +13,18 @@ import numpy as np
 
 from repro.bucket.interface import ACTIVE, MOVE_WEIGHT, FrontierStructure
 
+# Bucket count b (Julienne uses 16; so does the paper's ours without HBS).
+B = 16
+
 
 class FixedBuckets(FrontierStructure):
-    """b single-key buckets + overflow set, rebuilt every b rounds."""
+    """B single-key buckets + overflow set, rebuilt every B rounds."""
 
-    def __init__(self, n: int, *, b: int = 16):
+    def __init__(self, n: int):
         super().__init__(n)
-        self.b = int(b)
         self.kbase = 0
         self.overflow = np.empty(0, dtype=np.int64)
-        self.buckets: list[list[np.ndarray]] = [[] for _ in range(self.b)]
+        self.buckets: list[list[np.ndarray]] = [[] for _ in range(B)]
         self.built = False
 
     def build(self, ids: np.ndarray, deg: np.ndarray) -> float:
@@ -31,7 +33,7 @@ class FixedBuckets(FrontierStructure):
         return 0.0
 
     def _rebuild(self, k: int, deg: np.ndarray, state: np.ndarray) -> float:
-        """Scan the overflow set; fill buckets for rounds [k, k+b)."""
+        """Scan the overflow set; fill buckets for rounds [k, k+B)."""
         self.kbase = k
         a = self.overflow
         cost = float(len(a))
@@ -39,11 +41,11 @@ class FixedBuckets(FrontierStructure):
         alive = state[a] == ACTIVE
         a = a[alive]
         d = deg[a]
-        in_range = d < k + self.b
-        self.buckets = [[] for _ in range(self.b)]
+        in_range = d < k + B
+        self.buckets = [[] for _ in range(B)]
         ranged = a[in_range]
         slot = np.maximum(deg[ranged] - k, 0)
-        for j in range(self.b):
+        for j in range(B):
             members = ranged[slot == j]
             if len(members):
                 self.buckets[j].append(members)
@@ -53,7 +55,7 @@ class FixedBuckets(FrontierStructure):
 
     def next_frontier(self, k, deg, state):
         cost = 0.0
-        if not self.built or k >= self.kbase + self.b:
+        if not self.built or k >= self.kbase + B:
             cost += self._rebuild(k, deg, state)
         j = k - self.kbase
         parts = self.buckets[j]
@@ -73,11 +75,11 @@ class FixedBuckets(FrontierStructure):
             return 0.0
         ids = np.asarray(ids, dtype=np.int64)
         d = deg[ids]
-        in_range = d < self.kbase + self.b
+        in_range = d < self.kbase + B
         movers = ids[in_range]
         if len(movers) == 0:
             return 0.0
-        slot = np.clip(deg[movers] - self.kbase, 0, self.b - 1)
+        slot = np.clip(deg[movers] - self.kbase, 0, B - 1)
         for j in np.unique(slot):
             self.buckets[int(j)].append(movers[slot == j])
         self.moves += len(movers)

@@ -26,6 +26,8 @@ from repro.bucket.single import SingleBucket
 
 # Hash-bag first-chunk size lambda: the fixed part of an extraction.
 LAM = 64
+# Adaptive HBS switches from the single bucket to HBS at round THETA.
+THETA = 16
 
 
 class _Bucket:
@@ -182,11 +184,10 @@ class HBS(FrontierStructure):
 
 
 class AdaptiveHBS(FrontierStructure):
-    """Paper's final design: SingleBucket until round theta, then HBS."""
+    """Paper's final design: SingleBucket until round THETA, then HBS."""
 
-    def __init__(self, n: int, *, theta: int = 16):
+    def __init__(self, n: int):
         super().__init__(n)
-        self.theta = theta
         self.inner: FrontierStructure = SingleBucket(n)
         self.switched = False
 
@@ -194,7 +195,7 @@ class AdaptiveHBS(FrontierStructure):
         return self.inner.build(ids, deg)
 
     def next_frontier(self, k, deg, state):
-        if not self.switched and k >= self.theta:
+        if not self.switched and k >= THETA:
             # theta-core reached: rebuild the survivors into an HBS.
             assert isinstance(self.inner, SingleBucket)
             survivors = self.inner.active

@@ -35,10 +35,13 @@ from pyspark.sql import functions as F
 
 from repro.bucket.interface import PEELED
 from repro.graphs.csr import CSR
-from repro.simcpu.configs import OURS
+from repro.simcpu.configs import OURS, REGISTRY
 from repro.simcpu.engine import AlgoConfig, _Engine
 from repro.simcpu.machine import MachineConfig
 from repro.simcpu.metrics import RunMetrics
+
+# Galois's per-activity worklist overhead, in cost-model units.
+T_TASK = 12.0
 
 
 def _survivors(
@@ -58,11 +61,10 @@ def kcore_subgraph(
     machine: MachineConfig | None = None,
     vgc: bool = True,
     sampling: bool = True,
-    seed: int = 42,
 ) -> tuple[np.ndarray, RunMetrics]:
     """Ours-adapted max k'-core (membership mask, metrics)."""
     machine = machine or MachineConfig()
-    algo = replace(OURS, name="ours-subgraph", vgc=vgc, sampling=sampling, seed=seed)
+    algo = replace(OURS, name="ours-subgraph", vgc=vgc, sampling=sampling)
     member, met = _survivors(g, kprime, algo, machine)
     if sampling:
         # Las Vegas check: survivors must all have >= k' surviving
@@ -76,21 +78,20 @@ def kcore_subgraph(
 
 
 def kcore_subgraph_galois(
-    g: CSR, kprime: int, *, machine: MachineConfig | None = None, t_task: float = 12.0
+    g: CSR, kprime: int, *, machine: MachineConfig | None = None
 ) -> tuple[np.ndarray, RunMetrics]:
     """Galois-like asynchronous worklist baseline.
 
     Executes the same peeling (so the mask is exact), but the cost
     model has no subround syncs: time = work/P + per-activity worklist
-    overhead (t_task per processed vertex) + full contention serialized
+    overhead (T_TASK per processed vertex) + full contention serialized
     on the hottest location (no sampling)."""
     machine = machine or MachineConfig()
-    algo = AlgoConfig(name="galois", structure="single", vgc=False, sampling=False)
-    member, met = _survivors(g, kprime, algo, machine)
+    member, met = _survivors(g, kprime, REGISTRY["plain"], machine)
     # Re-price: remove the per-subround omega charges, add worklist
     # overhead per activation and keep the serialized contention.
     n_activated = int((~member).sum())
-    met.t_par_units += n_activated * t_task / machine.p
+    met.t_par_units += n_activated * T_TASK / machine.p
     met.t_par_units -= met.rho * machine.omega  # async: no barriers
     met.algo = "galois"
     return member, met

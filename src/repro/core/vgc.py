@@ -7,11 +7,11 @@ hash-partitioned into blocks; each subround broadcasts the frontier
 with the degree and peel state, and a ``mapInPandas`` over
 ``spark.range(n_blocks)`` runs the *local cascade* of each block's
 seeds — peeling any chain that stays inside the block (bounded by the
-local queue cap) — while decrements to vertices of other blocks are
-emitted as messages and collected at the subround boundary. A
-subround is therefore one Spark job, and the number of Spark iterations
-is the dataflow rho', directly comparable to the paper's Fig. 7. Rounds
-whose frontier is empty run no Spark job.
+simulator's local queue cap ``VGC_QUEUE``) — while decrements to
+vertices of other blocks are emitted as messages and collected at the
+subround boundary. A subround is therefore one Spark job, and the
+number of Spark iterations is the dataflow rho', directly comparable to
+the paper's Fig. 7. Rounds whose frontier is empty run no Spark job.
 
 Correctness: within a block the cascade is a legal sequential schedule;
 cross-block decrements are deferred to the barrier, which is exactly
@@ -28,6 +28,7 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.graphs.csr import CSR, gather_neighbors
+from repro.simcpu.engine import VGC_QUEUE
 
 _ACTIVE, _QUEUED, _PEELED = 0, 1, 2
 
@@ -48,7 +49,6 @@ def _cascade_block(
     state: np.ndarray,
     block_of: np.ndarray,
     k: int,
-    queue_cap: int,
 ) -> pd.DataFrame:
     """Per-seed bounded local cascades for one block's frontier slice.
 
@@ -76,7 +76,7 @@ def _cascade_block(
                     msgs.append(u)  # cross-block: defer to the barrier
                     continue
                 deg[u] -= 1
-                if deg[u] <= k and enqueued < queue_cap:
+                if deg[u] <= k and enqueued < VGC_QUEUE:
                     state[u] = _PEELED
                     queue.append(u)
                     enqueued += 1
@@ -95,7 +95,6 @@ def kcore_dataflow_vgc(
     g: CSR,
     *,
     n_blocks: int = 8,
-    queue_cap: int = 128,
     max_iterations: int = 10_000,
 ) -> tuple[np.ndarray, VgcDataflowStats]:
     """Exact coreness via block-local VGC cascades; returns (core, stats).
@@ -130,7 +129,7 @@ def kcore_dataflow_vgc(
             state[frontier] = _PEELED
             remaining -= len(frontier)
             bc_sub = sc.broadcast((frontier, deg, state))
-            kk, qc = int(k), int(queue_cap)
+            kk = int(k)
 
             def run_blocks(batches):
                 front, dg, st = bc_sub.value
@@ -140,7 +139,7 @@ def kcore_dataflow_vgc(
                     for b in pdf["id"]:
                         yield _cascade_block(
                             front[blk[front] == b], int(b), ip, aj, dg, st.copy(),
-                            blk, kk, qc,
+                            blk, kk,
                         )
 
             out = blocks.mapInPandas(run_blocks, schema="id long, kind int").toPandas()

@@ -1,67 +1,60 @@
-"""Algorithm configurations for the paper's systems and ablations.
+"""Every algorithm configuration a table can request, each defined once.
 
-- ``OURS``       final design: online + active set + sampling + VGC +
-                 adaptive HBS (Sec. 4, 5.3).
-- ``JULIENNE``   offline histogram peel + active set + 16 fixed buckets
-                 (work-efficient per the paper's Sec. 3.2 analysis).
-- ``PARK``       online, *no* active set (O(m + k_max n) work), plain
-                 subrounds.
-- ``PKC``        online, no active set, unbounded thread-local buffers
-                 (one subround per round, load-imbalance-prone).
-- ``ours_variant(vgc, sampling, hbs)``  the 8 combos of Table 3; HBS
-                 off means the plain single-bucket framework of Alg. 1.
+The paper names some designs differently in different evaluations.
+``REGISTRY`` binds every such name to the *same* object, so the 18
+names below cover 13 distinct configurations:
+
+- ``ours``           final design: online peel + sampling + VGC +
+                     adaptive HBS (Sec. 4, 5.3). Table 3 calls it
+                     ``vgc+sample+hbs``, Fig. 8 ``buckets-adaptive``.
+- ``plain``, ``vgc``, ``sample``, ``hbs``, ``vgc+sample``, ``vgc+hbs``,
+  ``sample+hbs``     the other 7 technique combinations of Table 3;
+                     HBS off means the plain single-bucket framework of
+                     Alg. 1. Fig. 8 calls ``vgc+sample``
+                     ``buckets-single``; Fig. 11 calls ``vgc+hbs``
+                     ``ours-nosample``.
+- ``ours-vgc-f16``, ``ours-novgc-f16``
+                     ours with 16 fixed buckets instead of HBS, with
+                     and without VGC (Figs. 9/14/15: "when no HBS is
+                     used, we use 16 buckets"). Fig. 8 calls
+                     ``ours-vgc-f16`` ``buckets-fixed``.
+- ``julienne``       offline histogram peel + 16 fixed buckets
+                     (work-efficient per the paper's Sec. 3.2 analysis).
+- ``park``           online, no active set (``scan_all``:
+                     O(m + k_max n) work), plain subrounds.
+- ``pkc``            ``scan_all`` with unbounded thread-local buffers
+                     (one subround per round, load-imbalance-prone).
 """
 from __future__ import annotations
 
-from dataclasses import replace
-
 from repro.simcpu.engine import AlgoConfig
 
-OURS = AlgoConfig(
-    name="ours",
-    peel="online",
-    active_set=True,
-    structure="adaptive",
-    vgc=True,
-    sampling=True,
-)
-
-OURS_PLAIN = AlgoConfig(
-    name="plain", peel="online", active_set=True, structure="single"
-)
-
-JULIENNE = AlgoConfig(
-    name="julienne", peel="offline", active_set=True, structure="fixed", b=16
-)
-
-PARK = AlgoConfig(name="park", peel="online", active_set=False)
-
-PKC = AlgoConfig(name="pkc", peel="online", active_set=False, local_buffer=True)
-
-
-def ours_variant(*, vgc: bool, sampling: bool, hbs: bool, seed: int = 42) -> AlgoConfig:
-    """One of the 8 technique combinations evaluated in Table 3."""
-    parts = [p for p, on in (("vgc", vgc), ("sample", sampling), ("hbs", hbs)) if on]
-    return AlgoConfig(
-        name="+".join(parts) if parts else "plain",
-        peel="online",
-        active_set=True,
-        structure="adaptive" if hbs else "single",
-        vgc=vgc,
-        sampling=sampling,
-        seed=seed,
-    )
-
-
-def bucket_variant(structure: str) -> AlgoConfig:
-    """Fig. 8: ours (VGC+sampling) with 1 / 16 / hierarchical buckets."""
-    assert structure in ("single", "fixed", "adaptive", "hbs")
-    return replace(OURS, structure=structure, name=f"buckets-{structure}")
-
-
-ALL_COMBOS = [
-    ours_variant(vgc=v, sampling=s, hbs=h)
-    for v in (False, True)
-    for s in (False, True)
-    for h in (False, True)
+_CONFIGS = [
+    AlgoConfig(name="ours", structure="adaptive", vgc=True, sampling=True),
+    AlgoConfig(name="plain"),
+    AlgoConfig(name="vgc", vgc=True),
+    AlgoConfig(name="sample", sampling=True),
+    AlgoConfig(name="hbs", structure="adaptive"),
+    AlgoConfig(name="vgc+sample", vgc=True, sampling=True),
+    AlgoConfig(name="vgc+hbs", structure="adaptive", vgc=True),
+    AlgoConfig(name="sample+hbs", structure="adaptive", sampling=True),
+    AlgoConfig(name="ours-vgc-f16", structure="fixed", vgc=True, sampling=True),
+    AlgoConfig(name="ours-novgc-f16", structure="fixed", sampling=True),
+    AlgoConfig(name="julienne", peel="offline", structure="fixed"),
+    AlgoConfig(name="park", structure="scan_all"),
+    AlgoConfig(name="pkc", structure="scan_all", local_buffer=True),
 ]
+
+# Alias name -> the configuration name it stands for.
+ALIASES = {
+    "vgc+sample+hbs": "ours",
+    "buckets-adaptive": "ours",
+    "buckets-single": "vgc+sample",
+    "buckets-fixed": "ours-vgc-f16",
+    "ours-nosample": "vgc+hbs",
+}
+
+REGISTRY = {c.name: c for c in _CONFIGS}
+REGISTRY |= {alias: REGISTRY[name] for alias, name in ALIASES.items()}
+
+OURS = REGISTRY["ours"]

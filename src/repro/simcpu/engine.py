@@ -16,7 +16,7 @@ process described by an :class:`AlgoConfig` on a CSR graph:
   Vegas: the final coreness is verified with the h-index fixpoint check
   and on failure the run restarts without sampling (Sec. 4.1.4).
 - **VGC** (Sec. 4.2): each frontier vertex runs a local search over a
-  FIFO queue capped at ``vgc_queue`` entries, peeling cascades inside
+  FIFO queue capped at ``VGC_QUEUE`` entries, peeling cascades inside
   the subround; the longest chain is charged on the critical path.
 - **PKC local buffers**: unbounded per-thread chains — exactly one
   subround per round, with the max thread chain on the critical path
@@ -51,34 +51,32 @@ from repro.simcpu.machine import MachineConfig
 from repro.simcpu.metrics import RunMetrics
 
 
+# A VGC local search enqueues at most VGC_QUEUE vertices.
+VGC_QUEUE = 128
+# VGC engages for *low-degree* vertices (Sec. 4.2); chains are also
+# capped by total touched work ("controlling ... the number of
+# touched vertices", Sec. 4.2), so one local search never dominates
+# a subround's critical path — the paper's guideline is chain work
+# L below the sync cost omega's order of magnitude. High-degree
+# frontier vertices peel through the batch (inner-parallel) path.
+VGC_WORK_CAP = 256
+
+
 @dataclass(frozen=True)
 class AlgoConfig:
     """One peeling algorithm = one point in the design space."""
 
     name: str = "ours"
     peel: str = "online"  # "online" | "offline"
-    active_set: bool = True  # False: ParK/PKC-style full-V scans
-    structure: str = "single"  # single | fixed | hbs | adaptive
-    b: int = 16  # fixed-bucket count (Julienne uses 16)
-    theta: int = 16  # adaptive HBS switch round
+    # scan_all (ParK/PKC: no active set) | single | fixed | hbs | adaptive
+    structure: str = "single"
     vgc: bool = False
-    vgc_queue: int = 128
-    # VGC engages for *low-degree* vertices (Sec. 4.2); chains are also
-    # capped by total touched work ("controlling ... the number of
-    # touched vertices", Sec. 4.2), so one local search never dominates
-    # a subround's critical path — the paper's guideline is chain work
-    # L below the sync cost omega's order of magnitude. High-degree
-    # frontier vertices peel through the batch (inner-parallel) path.
-    vgc_work_cap: int = 256
     local_buffer: bool = False  # PKC unbounded thread-local buffers
     sampling: bool = False
     sample_c: float = 2.5  # mu = 4 * c * ln n  (paper: c > 2)
     sample_r: float = 0.1  # resample when degree drops to r * d
     sample_threshold: int = 0  # 0 = auto: max(64, 2 * mu)
     seed: int = 42
-
-    def structure_name(self) -> str:
-        return self.structure if self.active_set else "scan_all"
 
 
 def run_kcore(
@@ -122,17 +120,7 @@ class _Engine:
         self.state = np.zeros(self.n, dtype=np.int8)
         self.core = np.zeros(self.n, dtype=np.int64)
         self.rng = np.random.default_rng(algo.seed)
-        self.structure = make_structure(
-            algo.structure_name(),
-            self.n,
-            **(
-                {"b": algo.b}
-                if algo.structure_name() == "fixed"
-                else {"theta": algo.theta}
-                if algo.structure_name() == "adaptive"
-                else {}
-            ),
-        )
+        self.structure = make_structure(algo.structure, self.n)
         # Sampling state (Alg. 5's sampler struct, vectorized).
         self.mu = math.ceil(4 * algo.sample_c * math.log(max(self.n, 2)))
         self.threshold = algo.sample_threshold or max(64, 2 * self.mu)
@@ -372,8 +360,7 @@ class _Engine:
             qcap = work_cap = math.inf
             low, high = frontier, frontier[:0]
         else:
-            qcap = self.algo.vgc_queue
-            work_cap = self.algo.vgc_work_cap
+            qcap, work_cap = VGC_QUEUE, VGC_WORK_CAP
             alen = self.indptr[frontier + 1] - self.indptr[frontier]
             low, high = frontier[alen <= work_cap], frontier[alen > work_cap]
         total_work = 0.0

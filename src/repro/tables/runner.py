@@ -13,6 +13,7 @@ import json
 import pandas as pd
 from pyspark.sql import SparkSession
 
+from repro.simcpu.configs import REGISTRY
 from repro.simcpu.machine import MachineConfig
 
 _SCHEMA = (
@@ -26,35 +27,7 @@ _SCHEMA = (
 
 def algo_registry() -> dict:
     """Name -> AlgoConfig for every algorithm a table can request."""
-    from repro.simcpu.configs import (
-        ALL_COMBOS,
-        JULIENNE,
-        OURS,
-        OURS_PLAIN,
-        PARK,
-        PKC,
-        bucket_variant,
-    )
-    from dataclasses import replace
-
-    reg = {
-        "ours": OURS,
-        "plain": OURS_PLAIN,
-        "julienne": JULIENNE,
-        "park": PARK,
-        "pkc": PKC,
-        # Fig. 9/14/15: ours with 16 buckets (paper: "when no HBS is
-        # used, we use 16 buckets"), with and without VGC.
-        "ours-novgc-f16": replace(OURS, vgc=False, structure="fixed", name="ours-novgc-f16"),
-        "ours-vgc-f16": replace(OURS, structure="fixed", name="ours-vgc-f16"),
-        # Fig. 11: ours without sampling.
-        "ours-nosample": replace(OURS, sampling=False, name="ours-nosample"),
-    }
-    for c in ALL_COMBOS:
-        reg[c.name] = c
-    for s in ("single", "fixed", "adaptive"):
-        reg[f"buckets-{s}"] = bucket_variant(s)
-    return reg
+    return dict(REGISTRY)
 
 
 def run_cells(
@@ -77,33 +50,28 @@ def run_cells(
         from repro.graphs.suite import load_graph
         from repro.seq.bz import bz_kcore
         from repro.simcpu.engine import run_kcore
+        from repro.simcpu.metrics import RunMetrics
 
-        def _cell(row, reg) -> dict:
+        def _cell(row) -> dict:
             g = load_graph(row["graph"], row["scale"])
-            base = {
+            if row["algo"] == "bz":
+                res = bz_kcore(g)
+                t = res.work * machine.t_op
+                met = RunMetrics(
+                    kmax=int(res.core.max()), work=res.work,
+                    t_par_units=t, t_seq_units=t,
+                )
+            else:
+                algo = REGISTRY[row["algo"]]
+                _, met = run_kcore(
+                    g, algo, machine, collect_subrounds=collect_subrounds
+                )
+            return {
                 "graph": row["graph"],
                 "algo": row["algo"],
                 "scale": row["scale"],
                 "n": g.n,
                 "m": g.m,
-            }
-            if row["algo"] == "bz":
-                res = bz_kcore(g)
-                t = res.work * machine.t_op
-                return base | {
-                    "kmax": int(res.core.max()),
-                    "rounds": 0, "rho": 0,
-                    "work": float(res.work),
-                    "t_par": machine.seconds(t),
-                    "t_seq": machine.seconds(t),
-                    "bspan": 0.0, "max_contention": 0, "max_chain": 0,
-                    "restarts": 0, "n_sampled": 0, "resamples": 0,
-                    "scanned": 0, "moves": 0, "subrounds_json": "[]",
-                }
-            _, met = run_kcore(
-                g, reg[row["algo"]], machine, collect_subrounds=collect_subrounds
-            )
-            return base | {
                 "kmax": met.kmax,
                 "rounds": met.rounds,
                 "rho": met.rho,
@@ -121,11 +89,10 @@ def run_cells(
                 "subrounds_json": json.dumps(met.subrounds_per_round),
             }
 
-        reg = algo_registry()
         out = []
         for _, row in part.iterrows():
             try:
-                out.append(_cell(row, reg))
+                out.append(_cell(row))
             except Exception as e:
                 raise RuntimeError(
                     f"cell (graph={row['graph']!r}, algo={row['algo']!r}, "

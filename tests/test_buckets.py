@@ -87,7 +87,7 @@ def test_split_sizes_binary_decomposition():
 def test_fixed_counts_moves():
     n = 100
     deg = np.full(n, 10, dtype=np.int64)
-    s = make_structure("fixed", n, b=16)
+    s = make_structure("fixed", n)
     state = np.zeros(n, dtype=np.int8)
     s.build(np.arange(n), deg)
     s.next_frontier(0, deg, state)  # triggers rebuild
@@ -117,7 +117,7 @@ def test_adaptive_switches_at_theta():
 
     n = 60
     deg = np.full(n, 40, dtype=np.int64)
-    s = make_structure("adaptive", n, theta=16)
+    s = make_structure("adaptive", n)
     state = np.zeros(n, dtype=np.int8)
     s.build(np.arange(n), deg)
     for k in range(16):

@@ -117,7 +117,7 @@ def test_vgc_dataflow_reduces_subrounds(spark):
     g = gen.grid_2d(16, 16)
     truth = bz_kcore(g).core
     _, plain = kcore_dataflow(spark, edges_to_df(spark, g))
-    core, vgc = kcore_dataflow_vgc(spark, g, n_blocks=4, queue_cap=128)
+    core, vgc = kcore_dataflow_vgc(spark, g, n_blocks=4)
     assert np.array_equal(core, truth)
     assert vgc.subrounds < plain.subrounds
 

@@ -6,24 +6,12 @@ import pytest
 from repro.graphs.suite import SUITE, load_graph
 from repro.seq.bz import bz_kcore
 from repro.simcpu import AlgoConfig, MachineConfig, run_kcore
-from repro.simcpu.configs import (
-    ALL_COMBOS,
-    JULIENNE,
-    OURS,
-    OURS_PLAIN,
-    PARK,
-    PKC,
-    bucket_variant,
-    ours_variant,
-)
+from repro.simcpu.configs import REGISTRY
 
 GRAPHS = list(SUITE)
-CONFIGS = {
-    c.name: c
-    for c in [OURS, OURS_PLAIN, JULIENNE, PARK, PKC]
-    + ALL_COMBOS
-    + [bucket_variant("single"), bucket_variant("fixed"), bucket_variant("adaptive")]
-}
+OURS, PLAIN, JULIENNE, PARK, PKC = (
+    REGISTRY[name] for name in ("ours", "plain", "julienne", "park", "pkc")
+)
 
 
 @pytest.fixture(scope="module")
@@ -38,11 +26,11 @@ def truth_cache():
     return get
 
 
-@pytest.mark.parametrize("config", sorted(CONFIGS))
+@pytest.mark.parametrize("config", sorted(REGISTRY))
 @pytest.mark.parametrize("graph", GRAPHS)
 def test_exact_coreness(graph, config, truth_cache):
     g = load_graph(graph, "mini")
-    core, met = run_kcore(g, CONFIGS[config])
+    core, met = run_kcore(g, REGISTRY[config])
     assert np.array_equal(core, truth_cache(graph)), (graph, config)
     assert met.kmax == truth_cache(graph).max()
 
@@ -65,14 +53,14 @@ def test_offline_has_no_contention():
 
 def test_online_measures_contention():
     g = load_graph("TW", "mini")
-    _, met = run_kcore(g, OURS_PLAIN)
+    _, met = run_kcore(g, PLAIN)
     assert met.max_contention > 1
 
 
 def test_vgc_reduces_subrounds():
     g = load_graph("GRID", "mini")
-    _, plain = run_kcore(g, OURS_PLAIN)
-    _, vgc = run_kcore(g, ours_variant(vgc=True, sampling=False, hbs=False))
+    _, plain = run_kcore(g, PLAIN)
+    _, vgc = run_kcore(g, REGISTRY["vgc"])
     assert vgc.rho < plain.rho / 3
 
 
@@ -88,7 +76,7 @@ def test_park_is_work_inefficient_on_high_kmax():
     the active set caps total scans at sum_i |A_i| = O(n + m)."""
     g = load_graph("TW", "mini")
     _, park = run_kcore(g, PARK)
-    _, plain = run_kcore(g, OURS_PLAIN)
+    _, plain = run_kcore(g, PLAIN)
     assert park.structure["scanned"] == park.rounds * g.n
     assert plain.structure["scanned"] < park.structure["scanned"] / 2
     assert park.work > 1.3 * plain.work
@@ -98,13 +86,13 @@ def test_work_efficiency_bound():
     """Thm 3.1: plain framework work is O(n + m)."""
     for key in ("LJ", "GRID", "CH5", "HCNS"):
         g = load_graph(key, "mini")
-        _, met = run_kcore(g, OURS_PLAIN)
+        _, met = run_kcore(g, PLAIN)
         assert met.work < 12 * (g.n + g.m_directed), key
 
 
 def test_subround_counts_match_rho():
     g = load_graph("CUBE", "mini")
-    _, met = run_kcore(g, OURS_PLAIN, collect_subrounds=True)
+    _, met = run_kcore(g, PLAIN, collect_subrounds=True)
     assert sum(met.subrounds_per_round) == met.rho
     assert len(met.subrounds_per_round) == met.rounds
 
@@ -112,7 +100,7 @@ def test_subround_counts_match_rho():
 def test_offline_and_online_same_subround_structure():
     """Without VGC, both peel the same frontiers (Alg. 2 vs Alg. 3)."""
     g = load_graph("BBL", "mini")
-    _, on = run_kcore(g, OURS_PLAIN, collect_subrounds=True)
+    _, on = run_kcore(g, PLAIN, collect_subrounds=True)
     _, off = run_kcore(g, JULIENNE, collect_subrounds=True)
     assert on.subrounds_per_round == off.subrounds_per_round
 
@@ -121,11 +109,11 @@ def test_sampling_triggers_on_hub_graph():
     from repro.graphs import generators as gen
 
     g = gen.chung_lu(20_000, 30, exponent=2.0, seed=7)
-    cfg = ours_variant(vgc=False, sampling=True, hbs=False)
+    cfg = REGISTRY["sample"]
     core, met = run_kcore(g, cfg)
     assert np.array_equal(core, bz_kcore(g).core)
     assert met.resamples > 0
-    _, plain = run_kcore(g, OURS_PLAIN)
+    _, plain = run_kcore(g, PLAIN)
     assert met.max_contention < plain.max_contention / 4
 
 
@@ -160,7 +148,7 @@ def test_machine_config_scaling():
 def test_seq_time_equals_work():
     g = load_graph("AF", "mini")
     mc = MachineConfig()
-    _, met = run_kcore(g, OURS_PLAIN, mc)
+    _, met = run_kcore(g, PLAIN, mc)
     assert met.t_seq_units == met.work * mc.t_op
 
 
@@ -174,5 +162,5 @@ def test_self_speedup_at_bench_scale():
 
 def test_rounds_equal_kmax_plus_one():
     g = load_graph("CUBE", "mini")
-    _, met = run_kcore(g, OURS_PLAIN)
+    _, met = run_kcore(g, PLAIN)
     assert met.rounds == met.kmax + 1

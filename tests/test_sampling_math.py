@@ -1,6 +1,7 @@
 """Sampling-scheme math (Sec. 4.1): SetSampler/Validate semantics,
 the Chernoff-style estimate of Lem. 4.1, and contention bounds."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from repro.graphs import generators as gen
 from repro.seq.bz import bz_kcore
 from repro.simcpu.engine import AlgoConfig, MachineConfig, _Engine, run_kcore
-from repro.simcpu.configs import OURS_PLAIN, ours_variant
+from repro.simcpu.configs import REGISTRY
 
 
 def _engine(g, **kw):
@@ -81,8 +82,8 @@ def test_sampled_contention_is_mu_bounded():
     """Sec. 4.1.5: contention on a sampled counter is ~mu/(1-r) per
     epoch instead of d(v)."""
     g = gen.chung_lu(20_000, 30, exponent=2.0, seed=7)
-    _, plain = run_kcore(g, OURS_PLAIN)
-    _, samp = run_kcore(g, ours_variant(vgc=False, sampling=True, hbs=False))
+    _, plain = run_kcore(g, REGISTRY["plain"])
+    _, samp = run_kcore(g, REGISTRY["sample"])
     # O(kappa + log n) plus the unsampled-threshold slack (Sec. 4.1.5).
     bound = math.ceil(4 * 2.5 * math.log(g.n)) / 0.9 + samp.kmax + 2 * 64
     assert samp.max_contention <= bound
@@ -106,6 +107,6 @@ def test_sampling_correct_across_seeds():
     from repro.simcpu.engine import run_kcore
 
     for seed in range(5):
-        cfg = ours_variant(vgc=True, sampling=True, hbs=True, seed=seed)
+        cfg = replace(REGISTRY["ours"], seed=seed)
         core, met = run_kcore(g, cfg)
         assert np.array_equal(core, truth), seed

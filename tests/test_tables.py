@@ -1,5 +1,7 @@
 """Experiment-harness tests at mini scale: runner fan-out, table/fig
 computations, and the structural claims the tables must exhibit."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,23 @@ def test_algo_registry_complete():
         "ours-novgc-f16", "ours-vgc-f16", "ours-nosample",
     ):
         assert name in reg, name
+
+
+def test_algo_registry_defines_each_config_once():
+    """Table names that denote the same algorithm share one object."""
+    reg = algo_registry()
+    assert len(reg) == 18
+    assert len({id(c) for c in reg.values()}) == 13
+    # No two distinct objects describe the same algorithm.
+    assert len({replace(c, name="") for c in reg.values()}) == 13
+    for alias, name in (
+        ("vgc+sample+hbs", "ours"),
+        ("buckets-adaptive", "ours"),
+        ("buckets-single", "vgc+sample"),
+        ("buckets-fixed", "ours-vgc-f16"),
+        ("ours-nosample", "vgc+hbs"),
+    ):
+        assert reg[alias] is reg[name], alias
 
 
 def test_run_cells_basic(spark):
