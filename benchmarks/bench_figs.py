@@ -1,48 +1,37 @@
 """Benchmarks for the figure-equivalent experiments (rendered as
 tables): Fig. 7 (subround reduction), Fig. 8 (bucket strategies),
 Fig. 9 (burdened span vs Julienne), Fig. 11 (sampling on/off),
-Fig. 12 (max k'-core subgraph vs Galois). Each writes results/figN.csv."""
-import pathlib
-
+Fig. 12 (max k'-core subgraph vs Galois). Each writes results/figN.csv;
+Figs. 7-11 come from the shared sweep (``save_artifact``)."""
 import pytest
 
 from repro.tables import figs
-
-RESULTS = pathlib.Path(__file__).resolve().parent.parent / "results"
-
-
-def _save(df, name):
-    RESULTS.mkdir(exist_ok=True)
-    df.to_csv(RESULTS / name, index=False)
-    return df
+from repro.tables.report import RESULTS
 
 
 @pytest.mark.benchmark(group="fig7")
-def test_bench_fig7_subrounds(benchmark, spark):
-    df = benchmark.pedantic(
-        lambda: figs.fig7_subrounds(spark), rounds=1, iterations=1
-    )
-    _save(df, "fig7.csv")
+def test_bench_fig7_subrounds(benchmark, save_artifact):
+    df = benchmark.pedantic(save_artifact, args=("fig7.csv",), rounds=1, iterations=1)
     # VGC reduces subrounds everywhere; strongly on lattice graphs.
     assert (df.rho_vgc <= df.rho).all()
     assert df.set_index("graph").loc["GRID", "reduction"] > 5
 
 
 @pytest.mark.benchmark(group="fig8")
-def test_bench_fig8_buckets(benchmark, spark):
-    df = benchmark.pedantic(lambda: figs.fig8_buckets(spark), rounds=1, iterations=1)
-    _save(df, "fig8.csv")
+def test_bench_fig8_buckets(benchmark, save_artifact):
+    df = benchmark.pedantic(save_artifact, args=("fig8.csv",), rounds=1, iterations=1)
     by = df.set_index("graph")
-    # HBS matches the better of 1/16 buckets (within noise) everywhere.
+    # HBS is at most ~11% slower than the slower of 1 and 16 buckets.
+    # That is weaker than the paper's claim (HBS matches the faster
+    # one): here 16 buckets beat HBS on every graph (rel_16 0.70-0.97,
+    # EXPERIMENTS.md divergence note 3), and the gate holds through
+    # rel_one >= 1 (HBS is one bucket until round theta = 16).
     assert (df[["rel_one", "rel_16"]].max(axis=1) > 0.9).all()
 
 
 @pytest.mark.benchmark(group="fig9")
-def test_bench_fig9_burdened_span(benchmark, spark):
-    df = benchmark.pedantic(
-        lambda: figs.fig9_burdened_span(spark), rounds=1, iterations=1
-    )
-    _save(df, "fig9.csv")
+def test_bench_fig9_burdened_span(benchmark, save_artifact):
+    df = benchmark.pedantic(save_artifact, args=("fig9.csv",), rounds=1, iterations=1)
     # The online algorithm beats Julienne's burdened span everywhere,
     # and VGC only improves it (Sec. 4.2 analysis).
     assert (df.bspan_speedup_novgc > 1).all()
@@ -50,9 +39,8 @@ def test_bench_fig9_burdened_span(benchmark, spark):
 
 
 @pytest.mark.benchmark(group="fig11")
-def test_bench_fig11_sampling(benchmark, spark):
-    df = benchmark.pedantic(lambda: figs.fig11_sampling(spark), rounds=1, iterations=1)
-    _save(df, "fig11.csv")
+def test_bench_fig11_sampling(benchmark, save_artifact):
+    df = benchmark.pedantic(save_artifact, args=("fig11.csv",), rounds=1, iterations=1)
     by = df.set_index("graph")
     # Sampling helps the hub-heavy graphs and reduces contention.
     assert (by.drop(index="HCNS").speedup > 0.95).all()
@@ -61,8 +49,9 @@ def test_bench_fig11_sampling(benchmark, spark):
 
 @pytest.mark.benchmark(group="fig12")
 def test_bench_fig12_subgraph(benchmark):
-    df = benchmark.pedantic(lambda: figs.fig12_subgraph(), rounds=1, iterations=1)
-    _save(df, "fig12.csv")
+    df = benchmark.pedantic(figs.fig12_subgraph, rounds=1, iterations=1)
+    RESULTS.mkdir(exist_ok=True)
+    df.to_csv(RESULTS / "fig12.csv", index=False)
     # Ours beats the Galois-like baseline once contention matters (at
     # small k the k-core is nearly the whole graph and barely peels).
     assert (df[df.k >= 32].speedup > 1).all()

@@ -1,23 +1,12 @@
 """Benchmark for Table 2: the full 25-graph x 6-algorithm sweep at
-bench scale. The computed table is written to results/table2.csv (the
-artifact EXPERIMENTS.md is diffed against)."""
-import pathlib
-
+bench scale, from the shared sweep. The computed table is written to
+results/table2.csv (the artifact EXPERIMENTS.md is diffed against)."""
 import pytest
-
-from repro.tables import table2
-
-RESULTS = pathlib.Path(__file__).resolve().parent.parent / "results"
 
 
 @pytest.mark.benchmark(group="table2")
-def test_bench_table2(benchmark, spark):
-    def run():
-        return table2.compute(spark)
-
-    df = benchmark.pedantic(run, rounds=1, iterations=1)
-    RESULTS.mkdir(exist_ok=True)
-    df.to_csv(RESULTS / "table2.csv", index=False)
+def test_bench_table2(benchmark, save_artifact):
+    df = benchmark.pedantic(save_artifact, args=("table2.csv",), rounds=1, iterations=1)
     # Shape assertions from the paper's headline claims:
     # ours is the fastest parallel algorithm on the large majority of
     # graphs (23/25 in the paper).

@@ -1,19 +1,11 @@
 """Benchmark for Table 3: all 8 {VGC, sampling, HBS} combinations on
-every suite graph; writes results/table3.csv."""
-import pathlib
-
+every suite graph, from the shared sweep; writes results/table3.csv."""
 import pytest
-
-from repro.tables import table3
-
-RESULTS = pathlib.Path(__file__).resolve().parent.parent / "results"
 
 
 @pytest.mark.benchmark(group="table3")
-def test_bench_table3(benchmark, spark):
-    df = benchmark.pedantic(lambda: table3.compute(spark), rounds=1, iterations=1)
-    RESULTS.mkdir(exist_ok=True)
-    df.to_csv(RESULTS / "table3.csv", index=False)
+def test_bench_table3(benchmark, save_artifact):
+    df = benchmark.pedantic(save_artifact, args=("table3.csv",), rounds=1, iterations=1)
     by = df.set_index("graph")
     # Paper shapes: VGC dominates on lattice/mesh graphs, sampling on
     # hub-heavy dense graphs, and the full design is never far from the

@@ -1,0 +1,23 @@
+import pytest
+
+
+@pytest.fixture(scope="session")
+def save_artifact(spark):
+    """``save_artifact(name)`` writes ``results/<name>`` and returns its
+    frame. All six Spark artifacts come from one shared sweep
+    (``repro.tables.artifacts.build``), run once for the session.
+
+    Each gated test still requests ``benchmark`` (and times this write):
+    under ``--benchmark-only`` pytest-benchmark skips every test that
+    does not, and its gate with it."""
+    from repro.tables.artifacts import build
+    from repro.tables.report import RESULTS
+
+    frames = build(spark)
+    RESULTS.mkdir(exist_ok=True)
+
+    def save(name: str):
+        frames[name].to_csv(RESULTS / name, index=False)
+        return frames[name]
+
+    return save

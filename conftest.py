@@ -54,7 +54,7 @@ from pyspark.sql import SparkSession  # noqa: E402
 @pytest.fixture(scope="session")
 def spark() -> SparkSession:
     """One local-mode SparkSession for the whole test session, with the
-    jobs' settings (``repro.tables.session.get_spark``).
+    settings of ``python -m repro.tables`` (``repro.tables.session.get_spark``).
 
     Master and driver memory come from ``PYSPARK_SUBMIT_ARGS`` (set above,
     pre-JVM-launch), which ``get_spark`` leaves in place.

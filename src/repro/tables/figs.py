@@ -5,133 +5,65 @@ on/off), Fig. 12 (max k'-core subgraph vs Galois)."""
 from __future__ import annotations
 
 import pandas as pd
-from pyspark.sql import SparkSession
 
-from repro.graphs.suite import REPRESENTATIVE, SAMPLING_GRAPHS, SUITE, load_graph
+from repro.graphs.suite import load_graph
 from repro.simcpu.machine import MachineConfig
-from repro.tables.runner import run_cells
+
+# Each ``fig*_row(g, sub)`` turns graph ``g``'s runner rows (indexed by
+# algorithm name) into that graph's row of the figure's table.
 
 
-def fig7_subrounds(
-    spark: SparkSession,
-    *,
-    graphs: list[str] | None = None,
-    scale: str = "bench",
-    machine: MachineConfig | None = None,
-) -> pd.DataFrame:
+def fig7_row(g: str, sub: pd.DataFrame) -> dict:
     """rho (no VGC) vs rho' (VGC) and the reduction ratio R."""
-    graphs = graphs or REPRESENTATIVE
-    cells = [
-        {"graph": g, "algo": a, "scale": scale}
-        for g in graphs
-        for a in ("plain", "vgc")
-    ]
-    raw = run_cells(spark, cells, machine)
-    rows = []
-    for g in graphs:
-        sub = raw[raw.graph == g].set_index("algo")
-        rho, rho_p = int(sub.loc["plain", "rho"]), int(sub.loc["vgc", "rho"])
-        rows.append(
-            {
-                "graph": g,
-                "rho": rho,
-                "rho_vgc": rho_p,
-                "reduction": rho / rho_p if rho_p else float("nan"),
-            }
-        )
-    return pd.DataFrame(rows)
+    rho, rho_p = int(sub.loc["plain", "rho"]), int(sub.loc["vgc", "rho"])
+    return {
+        "graph": g,
+        "rho": rho,
+        "rho_vgc": rho_p,
+        "reduction": rho / rho_p if rho_p else float("nan"),
+    }
 
 
-def fig8_buckets(
-    spark: SparkSession,
-    *,
-    graphs: list[str] | None = None,
-    scale: str = "bench",
-    machine: MachineConfig | None = None,
-) -> pd.DataFrame:
+def fig8_row(g: str, sub: pd.DataFrame) -> dict:
     """1 bucket vs 16 buckets vs HBS (ours with VGC+sampling),
     normalized to HBS (lower is better, as in Fig. 8)."""
-    graphs = graphs or REPRESENTATIVE
-    algos = ["buckets-single", "buckets-fixed", "buckets-adaptive"]
-    cells = [{"graph": g, "algo": a, "scale": scale} for g in graphs for a in algos]
-    raw = run_cells(spark, cells, machine)
-    rows = []
-    for g in graphs:
-        sub = raw[raw.graph == g].set_index("algo")["t_par"]
-        hbs = sub["buckets-adaptive"]
-        rows.append(
-            {
-                "graph": g,
-                "one_bucket": sub["buckets-single"],
-                "16_buckets": sub["buckets-fixed"],
-                "hbs": hbs,
-                "rel_one": sub["buckets-single"] / hbs,
-                "rel_16": sub["buckets-fixed"] / hbs,
-            }
-        )
-    return pd.DataFrame(rows)
+    t_par = sub["t_par"]
+    hbs = t_par["buckets-adaptive"]
+    return {
+        "graph": g,
+        "one_bucket": t_par["buckets-single"],
+        "16_buckets": t_par["buckets-fixed"],
+        "hbs": hbs,
+        "rel_one": t_par["buckets-single"] / hbs,
+        "rel_16": t_par["buckets-fixed"] / hbs,
+    }
 
 
-def fig9_burdened_span(
-    spark: SparkSession,
-    *,
-    graphs: list[str] | None = None,
-    scale: str = "bench",
-    machine: MachineConfig | None = None,
-) -> pd.DataFrame:
+def fig9_row(g: str, sub: pd.DataFrame) -> dict:
     """Burdened-span speedup of ours (with/without VGC, 16 buckets as
     in the paper's Fig. 14 setup) over Julienne; also the time speedup
     (Fig. 15 counterpart)."""
-    graphs = graphs or list(SUITE)
-    algos = ["julienne", "ours-novgc-f16", "ours-vgc-f16"]
-    cells = [{"graph": g, "algo": a, "scale": scale} for g in graphs for a in algos]
-    raw = run_cells(spark, cells, machine)
-    rows = []
-    for g in graphs:
-        sub = raw[raw.graph == g].set_index("algo")
-        jb, jt = sub.loc["julienne", "bspan"], sub.loc["julienne", "t_par"]
-        rows.append(
-            {
-                "graph": g,
-                "bspan_speedup_novgc": jb / sub.loc["ours-novgc-f16", "bspan"],
-                "bspan_speedup_vgc": jb / sub.loc["ours-vgc-f16", "bspan"],
-                "time_speedup_novgc": jt / sub.loc["ours-novgc-f16", "t_par"],
-                "time_speedup_vgc": jt / sub.loc["ours-vgc-f16", "t_par"],
-            }
-        )
-    return pd.DataFrame(rows)
+    jb, jt = sub.loc["julienne", "bspan"], sub.loc["julienne", "t_par"]
+    return {
+        "graph": g,
+        "bspan_speedup_novgc": jb / sub.loc["ours-novgc-f16", "bspan"],
+        "bspan_speedup_vgc": jb / sub.loc["ours-vgc-f16", "bspan"],
+        "time_speedup_novgc": jt / sub.loc["ours-novgc-f16", "t_par"],
+        "time_speedup_vgc": jt / sub.loc["ours-vgc-f16", "t_par"],
+    }
 
 
-def fig11_sampling(
-    spark: SparkSession,
-    *,
-    graphs: list[str] | None = None,
-    scale: str = "bench",
-    machine: MachineConfig | None = None,
-) -> pd.DataFrame:
+def fig11_row(g: str, sub: pd.DataFrame) -> dict:
     """Ours with vs without sampling on the graphs that trigger it."""
-    graphs = graphs or SAMPLING_GRAPHS
-    cells = [
-        {"graph": g, "algo": a, "scale": scale}
-        for g in graphs
-        for a in ("ours", "ours-nosample")
-    ]
-    raw = run_cells(spark, cells, machine)
-    rows = []
-    for g in graphs:
-        sub = raw[raw.graph == g].set_index("algo")
-        rows.append(
-            {
-                "graph": g,
-                "with_sampling": sub.loc["ours", "t_par"],
-                "without_sampling": sub.loc["ours-nosample", "t_par"],
-                "speedup": sub.loc["ours-nosample", "t_par"] / sub.loc["ours", "t_par"],
-                "n_sampled": int(sub.loc["ours", "n_sampled"]),
-                "cmax_with": int(sub.loc["ours", "max_contention"]),
-                "cmax_without": int(sub.loc["ours-nosample", "max_contention"]),
-            }
-        )
-    return pd.DataFrame(rows)
+    return {
+        "graph": g,
+        "with_sampling": sub.loc["ours", "t_par"],
+        "without_sampling": sub.loc["ours-nosample", "t_par"],
+        "speedup": sub.loc["ours-nosample", "t_par"] / sub.loc["ours", "t_par"],
+        "n_sampled": int(sub.loc["ours", "n_sampled"]),
+        "cmax_with": int(sub.loc["ours", "max_contention"]),
+        "cmax_without": int(sub.loc["ours-nosample", "max_contention"]),
+    }
 
 
 def fig12_subgraph(

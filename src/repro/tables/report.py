@@ -1,8 +1,8 @@
 """Render EXPERIMENTS.md from the results/*.csv artifacts.
 
-Regenerate with:  python -m repro.tables.report
-(after `pytest benchmarks/ --benchmark-only` or the jobs/ entrypoints
-have refreshed results/).
+``python -m repro.tables`` regenerates results/ and this file together;
+``python -m repro.tables.report`` re-renders it from the CSVs alone
+(after `pytest benchmarks/ --benchmark-only` has refreshed results/).
 """
 from __future__ import annotations
 
@@ -109,9 +109,8 @@ HEADER = """\
 # EXPERIMENTS — paper numbers vs this reproduction
 
 All measured numbers are **simulated seconds** on the modeled 96-core
-machine (`repro.simcpu`), produced by `pytest benchmarks/
---benchmark-only` / the `jobs/` entrypoints and stored in
-`results/*.csv`. The suite graphs are deterministic scaled analogues of
+machine (`repro.simcpu`), produced by `python -m repro.tables` (or
+`pytest benchmarks/ --benchmark-only`) and stored in `results/*.csv`. The suite graphs are deterministic scaled analogues of
 the paper's 25 datasets (see `graphs/suite.py` and DESIGN.md §4), so
 absolute times are not comparable to the paper's wall-clock seconds;
 the claims under reproduction are the *shapes*: which system wins on
@@ -150,12 +149,17 @@ Regenerate this file with `python -m repro.tables.report`.
    in the paper is only ~2x total work here. The ablation shape
    (HBS best combo, sampling a net loss on HCNS) still reproduces.
 3. **Fig. 8:** the paper's 20–70% overhead of 16 buckets on sparse
-   graphs does not appear: in an event-count cost model, batched
-   subround updates collapse DecreaseKey traffic, and the overhead in
-   the real system is cache/pass effects outside the model. Measured
-   result: HBS within ~4% of the best strategy on every graph
-   (paper: HBS matches the better option everywhere), 1-bucket worst
-   on dense graphs (compressed to ~3%).
+   graphs does not appear; here 16 buckets are the fastest strategy
+   on all 14 graphs: `rel_16` is 0.70–0.97, so 16 buckets beat HBS by
+   up to 1.44x (GL5). `rel_16` is 0.70–0.82 on the 7 graphs with
+   k_max < θ = 16, where HBS keeps its single bucket (`rel_one` =
+   1.00), and 0.88–0.97 on the 7 with k_max >= 16, where HBS beats 1
+   bucket by 0–3%. Paper: HBS matches the better option everywhere. In this
+   event-count cost model, batched subround updates collapse
+   DecreaseKey traffic, and the DecreaseKey work that remains is
+   counted in `work` but not charged to the parallel time; the
+   overhead in the real system is cache/pass effects outside the
+   model.
 4. **k-NN graphs:** ours is 1–16% behind ParK/PKC (paper: ours
    slightly ahead). All systems are within ~2x of each other on these
    graphs in both the paper and here.

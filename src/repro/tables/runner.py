@@ -1,14 +1,16 @@
 """Spark fan-out of simulation cells.
 
-A *cell* is one (graph, algorithm, scale) triple. Cells are distributed
-over the cluster with ``applyInPandas``: each task generates its graph
-(deterministic seed, cached per executor process), runs the machine
-simulator, and returns one metrics row. The driver gets back a pandas
-frame with one row per cell — the raw material for every table.
+A *cell* is one (graph, algorithm, scale) triple. Cells whose names
+bind to the same ``REGISTRY`` configuration on the same graph and scale
+(Table 2's ``ours`` is Table 3's ``vgc+sample+hbs``) are one *task*,
+simulated once. Tasks are distributed over the cluster with
+``applyInPandas``: each generates its graph (deterministic seed, cached
+per executor process), runs the machine simulator, and returns one
+metrics row. The driver gets back a pandas frame with one row per
+requested cell, under the name that was requested — the raw material
+for every table.
 """
 from __future__ import annotations
-
-import json
 
 import pandas as pd
 from pyspark.sql import SparkSession
@@ -17,11 +19,10 @@ from repro.simcpu.configs import REGISTRY
 from repro.simcpu.machine import MachineConfig
 
 _SCHEMA = (
-    "graph string, algo string, scale string, n long, m long, kmax long, "
-    "rounds long, rho long, work double, t_par double, t_seq double, "
-    "bspan double, max_contention long, max_chain long, restarts long, "
-    "n_sampled long, resamples long, scanned long, moves long, "
-    "subrounds_json string"
+    "task long, graph string, algo string, scale string, n long, m long, "
+    "kmax long, rounds long, rho long, work double, t_par double, "
+    "t_seq double, bspan double, max_contention long, max_chain long, "
+    "restarts long, n_sampled long, resamples long, scanned long, moves long"
 )
 
 
@@ -34,16 +35,21 @@ def run_cells(
     spark: SparkSession,
     cells: list[dict],
     machine: MachineConfig | None = None,
-    *,
-    collect_subrounds: bool = False,
 ) -> pd.DataFrame:
-    """Execute cells in parallel; returns one metrics row per cell."""
+    """Execute cells in parallel, each distinct one once; returns one
+    metrics row per requested cell, in request order."""
     machine = machine or MachineConfig()
     pdf = pd.DataFrame(cells)
-    pdf["cell"] = range(len(pdf))
     if "scale" not in pdf:
         pdf["scale"] = "bench"
-    cdf = spark.createDataFrame(pdf)
+    # bz and unknown names key to themselves, so an unknown name still
+    # gets its own task and fails under its own name.
+    tasks: dict = {}
+    pdf["task"] = [
+        tasks.setdefault((g, s, REGISTRY.get(a, a)), len(tasks))
+        for g, s, a in zip(pdf["graph"], pdf["scale"], pdf["algo"])
+    ]
+    cdf = spark.createDataFrame(pdf.drop_duplicates("task"))
 
     def _run(part: pd.DataFrame) -> pd.DataFrame:
         # Imports inside the task: executed on executor python workers.
@@ -62,11 +68,9 @@ def run_cells(
                     t_par_units=t, t_seq_units=t,
                 )
             else:
-                algo = REGISTRY[row["algo"]]
-                _, met = run_kcore(
-                    g, algo, machine, collect_subrounds=collect_subrounds
-                )
+                _, met = run_kcore(g, REGISTRY[row["algo"]], machine)
             return {
+                "task": row["task"],
                 "graph": row["graph"],
                 "algo": row["algo"],
                 "scale": row["scale"],
@@ -86,7 +90,6 @@ def run_cells(
                 "resamples": met.resamples,
                 "scanned": met.structure.get("scanned", 0),
                 "moves": met.structure.get("moves", 0),
-                "subrounds_json": json.dumps(met.subrounds_per_round),
             }
 
         out = []
@@ -100,9 +103,13 @@ def run_cells(
                 ) from e
         return pd.DataFrame(out)
 
-    return (
-        cdf.repartition(max(len(pdf), 1), "cell")
-        .groupBy("cell")
+    done = (
+        cdf.repartition(max(len(tasks), 1), "task")
+        .groupBy("task")
         .applyInPandas(lambda _, p: _run(p), schema=_SCHEMA)
         .toPandas()
+        .set_index("task")
     )
+    out = done.loc[pdf["task"]].reset_index(drop=True)
+    out["algo"] = pdf["algo"]
+    return out

@@ -1,4 +1,4 @@
-"""The SparkSession used by the table/figure jobs and the results check."""
+"""The SparkSession used by ``python -m repro.tables`` and the results check."""
 from __future__ import annotations
 
 import os

@@ -9,52 +9,36 @@ wins, by roughly what factor) can be diffed directly.
 from __future__ import annotations
 
 import pandas as pd
-from pyspark.sql import SparkSession
 
 from repro.graphs.suite import SUITE
-from repro.simcpu.machine import MachineConfig
-from repro.tables.runner import run_cells
 
 ALGOS = ["plain", "bz", "julienne", "park", "pkc", "ours"]
 
 
-def compute(
-    spark: SparkSession,
-    *,
-    graphs: list[str] | None = None,
-    scale: str = "bench",
-    machine: MachineConfig | None = None,
-) -> pd.DataFrame:
-    """One row per graph with measured + paper columns."""
-    graphs = graphs or list(SUITE)
-    machine = machine or MachineConfig()
-    cells = [{"graph": g, "algo": a, "scale": scale} for g in graphs for a in ALGOS]
-    raw = run_cells(spark, cells, machine)
-    rows = []
-    for g in graphs:
-        sub = raw[raw.graph == g].set_index("algo")
-        spec = SUITE[g]
-        par = sub.loc["ours", "t_par"]
-        seq = sub.loc["plain", "t_seq"]
-        row = {
-            "graph": g,
-            "category": spec.category,
-            "n": int(sub.loc["ours", "n"]),
-            "m": int(sub.loc["ours", "m"]),
-            "kmax": int(sub.loc["ours", "kmax"]),
-            "rho": int(sub.loc["plain", "rho"]),
-            "seq": seq,
-            "par": par,
-            "spd": seq / par if par else float("nan"),
-            "bz": sub.loc["bz", "t_seq"],
-            "julienne": sub.loc["julienne", "t_par"],
-            "park": sub.loc["park", "t_par"],
-            "pkc": sub.loc["pkc", "t_par"],
-        }
-        for col in ("n", "m", "kmax", "rho", "seq", "par", "bz", "julienne", "park", "pkc"):
-            row[f"paper_{col}"] = spec.paper.get(col)
-        rows.append(row)
-    return pd.DataFrame(rows)
+def row(g: str, sub: pd.DataFrame) -> dict:
+    """Graph ``g``'s measured + paper columns from its runner rows
+    (indexed by algorithm name)."""
+    spec = SUITE[g]
+    par = sub.loc["ours", "t_par"]
+    seq = sub.loc["plain", "t_seq"]
+    out = {
+        "graph": g,
+        "category": spec.category,
+        "n": int(sub.loc["ours", "n"]),
+        "m": int(sub.loc["ours", "m"]),
+        "kmax": int(sub.loc["ours", "kmax"]),
+        "rho": int(sub.loc["plain", "rho"]),
+        "seq": seq,
+        "par": par,
+        "spd": seq / par if par else float("nan"),
+        "bz": sub.loc["bz", "t_seq"],
+        "julienne": sub.loc["julienne", "t_par"],
+        "park": sub.loc["park", "t_par"],
+        "pkc": sub.loc["pkc", "t_par"],
+    }
+    for col in ("n", "m", "kmax", "rho", "seq", "par", "bz", "julienne", "park", "pkc"):
+        out[f"paper_{col}"] = spec.paper.get(col)
+    return out
 
 
 def render(df: pd.DataFrame) -> str:

@@ -4,11 +4,6 @@ to the fastest combo (the paper's heatmap normalization)."""
 from __future__ import annotations
 
 import pandas as pd
-from pyspark.sql import SparkSession
-
-from repro.graphs.suite import SUITE
-from repro.simcpu.machine import MachineConfig
-from repro.tables.runner import run_cells
 
 COMBOS = ["plain", "vgc", "sample", "hbs", "vgc+sample", "vgc+hbs", "sample+hbs", "vgc+sample+hbs"]
 
@@ -42,28 +37,17 @@ PAPER_TABLE3 = {
 }
 
 
-def compute(
-    spark: SparkSession,
-    *,
-    graphs: list[str] | None = None,
-    scale: str = "bench",
-    machine: MachineConfig | None = None,
-) -> pd.DataFrame:
-    graphs = graphs or list(SUITE)
-    machine = machine or MachineConfig()
-    cells = [{"graph": g, "algo": a, "scale": scale} for g in graphs for a in COMBOS]
-    raw = run_cells(spark, cells, machine)
-    rows = []
-    for g in graphs:
-        sub = raw[raw.graph == g].set_index("algo")["t_par"]
-        row = {"graph": g}
-        for a in COMBOS:
-            row[a] = sub[a]
-        best = min(row[a] for a in COMBOS)
-        for a in COMBOS:
-            row[f"norm_{a}"] = row[a] / best if best else float("nan")
-        rows.append(row)
-    return pd.DataFrame(rows)
+def row(g: str, sub: pd.DataFrame) -> dict:
+    """Graph ``g``'s raw and normalized combo times from its runner rows
+    (indexed by algorithm name)."""
+    t_par = sub["t_par"]
+    out = {"graph": g}
+    for a in COMBOS:
+        out[a] = t_par[a]
+    best = min(out[a] for a in COMBOS)
+    for a in COMBOS:
+        out[f"norm_{a}"] = out[a] / best if best else float("nan")
+    return out
 
 
 def render(df: pd.DataFrame, *, normalized: bool = True) -> str:

@@ -3,10 +3,12 @@ computations, and the structural claims the tables must exhibit."""
 from dataclasses import replace
 
 import numpy as np
+import pandas as pd
 import pytest
 
 from repro.simcpu.machine import MachineConfig
-from repro.tables import figs, table2, table3
+from repro.tables import figs, report, table2, table3
+from repro.tables.artifacts import ARTIFACTS, build
 from repro.tables.runner import algo_registry, run_cells
 
 MINI = {"scale": "mini"}
@@ -52,16 +54,44 @@ def test_run_cells_basic(spark):
     assert (df.t_par > 0).all()
 
 
-def test_run_cells_collect_subrounds(spark):
-    import json
+def test_aliases_run_once(spark):
+    """Names bound to one configuration are simulated in one task and
+    returned under each requested name."""
+    algos = ["ours", "vgc+sample+hbs", "buckets-adaptive", "plain"]
+    sc = spark.sparkContext
+    group = "aliases-run-once"
+    sc.setJobGroup(group, group)
+    try:
+        df = run_cells(spark, [{"graph": "GRID", "algo": a, "scale": "mini"} for a in algos])
+    finally:
+        sc.setJobGroup("", "")
+    assert list(df.algo) == algos
+    rows = df.drop(columns="algo")
+    for i in range(1, 3):
+        pd.testing.assert_series_equal(rows.iloc[i], rows.iloc[0], check_names=False)
+    assert not rows.iloc[3].equals(rows.iloc[0])
+    # The fan-out is the group's last stage: one task per distinct cell.
+    st = sc.statusTracker()
+    stages = [
+        st.getStageInfo(s)
+        for j in st.getJobIdsForGroup(group)
+        for s in st.getJobInfo(j).stageIds
+    ]
+    assert max(stages, key=lambda s: s.stageId).numTasks == 2
 
-    df = run_cells(
-        spark,
-        [{"graph": "CUBE", "algo": "plain", "scale": "mini"}],
-        collect_subrounds=True,
-    )
-    subs = json.loads(df.subrounds_json.iloc[0])
-    assert sum(subs) == df.rho.iloc[0]
+
+def test_shared_sweep_matches_each_artifact_alone(spark):
+    kw = {"graphs": ["GRID", "TW", "HCNS"], "scale": "mini"}
+    together = build(spark, **kw)
+    assert list(together) == list(ARTIFACTS)
+    for name in ARTIFACTS:
+        pd.testing.assert_frame_equal(together[name], build(spark, [name], **kw)[name])
+    committed = {p.name for p in report.RESULTS.glob("*.csv")}
+    assert {*ARTIFACTS, "fig12.csv"} == committed
+
+
+def _mini(spark, name: str, graphs: list[str]) -> pd.DataFrame:
+    return build(spark, [name], graphs=graphs, scale="mini")[name]
 
 
 def test_run_cells_names_failing_cell(spark):
@@ -75,7 +105,7 @@ def test_run_cells_names_failing_cell(spark):
 
 
 def test_table2_mini(spark):
-    df = table2.compute(spark, graphs=["GRID", "TW"], scale="mini")
+    df = _mini(spark, "table2.csv", ["GRID", "TW"])
     assert set(df.graph) == {"GRID", "TW"}
     row = df[df.graph == "TW"].iloc[0]
     assert row["spd"] > 0 and row["paper_par"] == 2.72
@@ -84,7 +114,7 @@ def test_table2_mini(spark):
 
 
 def test_table3_mini(spark):
-    df = table3.compute(spark, graphs=["GRID"], scale="mini")
+    df = _mini(spark, "table3.csv", ["GRID"])
     row = df.iloc[0]
     norms = [row[f"norm_{a}"] for a in table3.COMBOS]
     assert min(norms) == 1.0
@@ -101,19 +131,19 @@ def test_paper_table3_numbers_cover_suite():
 
 
 def test_fig7_mini(spark):
-    df = figs.fig7_subrounds(spark, graphs=["GRID", "TRCE"], scale="mini")
+    df = _mini(spark, "fig7.csv", ["GRID", "TRCE"])
     assert (df.rho_vgc <= df.rho).all()
     assert (df[df.graph == "GRID"].reduction > 2).all()
 
 
 def test_fig8_mini(spark):
-    df = figs.fig8_buckets(spark, graphs=["HCNS"], scale="mini")
+    df = _mini(spark, "fig8.csv", ["HCNS"])
     assert {"one_bucket", "16_buckets", "hbs"} <= set(df.columns)
     assert (df.hbs > 0).all()
 
 
 def test_fig9_mini(spark):
-    df = figs.fig9_burdened_span(spark, graphs=["GRID", "TW"], scale="mini")
+    df = _mini(spark, "fig9.csv", ["GRID", "TW"])
     # VGC only improves the burdened span (Sec. 4.2 analysis).
     assert (df.bspan_speedup_vgc >= df.bspan_speedup_novgc * 0.99).all()
     # Ours (online) beats offline Julienne on burdened span everywhere.
@@ -121,7 +151,7 @@ def test_fig9_mini(spark):
 
 
 def test_fig11_mini(spark):
-    df = figs.fig11_sampling(spark, graphs=["TW", "HCNS"], scale="mini")
+    df = _mini(spark, "fig11.csv", ["TW", "HCNS"])
     assert set(df.graph) == {"TW", "HCNS"}
     assert (df.with_sampling > 0).all()
 
