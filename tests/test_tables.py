@@ -9,7 +9,7 @@ import pytest
 from repro.simcpu.machine import MachineConfig
 from repro.tables import figs, report, table2, table3
 from repro.tables.artifacts import ARTIFACTS, build
-from repro.tables.runner import algo_registry, run_cells
+from repro.tables.runner import algo_registry, group_cells, run_cells
 
 MINI = {"scale": "mini"}
 
@@ -54,23 +54,53 @@ def test_run_cells_basic(spark):
     assert (df.t_par > 0).all()
 
 
+def test_group_cells_dedups_aliases_within_one_graph():
+    cells = [
+        {"graph": "GRID", "algo": a, "scale": "mini"}
+        for a in ("ours", "vgc+sample+hbs", "buckets-adaptive", "plain")
+    ]
+    ids, groups = group_cells(cells)
+    assert ids == [0, 0, 0, 1]
+    assert groups == {("GRID", "mini"): [(0, "ours"), (1, "plain")]}
+
+
+def test_group_cells_splits_scales():
+    ids, groups = group_cells(
+        [{"graph": "GRID", "algo": "ours", "scale": s} for s in ("mini", "bench")]
+    )
+    assert ids == [0, 1]
+    assert groups == {("GRID", "mini"): [(0, "ours")], ("GRID", "bench"): [(1, "ours")]}
+
+
+def test_group_cells_bz_and_unknown_key_to_themselves():
+    algos = ["bz", "no-such-algo", "plain", "bz", "no-such-algo"]
+    ids, groups = group_cells([{"graph": "GRID", "algo": a} for a in algos])
+    assert ids == [0, 1, 2, 0, 1]
+    assert groups == {("GRID", "bench"): [(0, "bz"), (1, "no-such-algo"), (2, "plain")]}
+
+
 def test_aliases_run_once(spark):
-    """Names bound to one configuration are simulated in one task and
-    returned under each requested name."""
+    """Names bound to one configuration are simulated once and returned
+    under each requested name; the fan-out runs one task per graph."""
     algos = ["ours", "vgc+sample+hbs", "buckets-adaptive", "plain"]
+    cells = [{"graph": "GRID", "algo": a, "scale": "mini"} for a in algos]
+    cells.append({"graph": "CUBE", "algo": "plain", "scale": "mini"})
+    ids, groups = group_cells(cells)
+    assert len(set(ids)) == 3 and len(groups) == 2
     sc = spark.sparkContext
     group = "aliases-run-once"
     sc.setJobGroup(group, group)
     try:
-        df = run_cells(spark, [{"graph": "GRID", "algo": a, "scale": "mini"} for a in algos])
+        df = run_cells(spark, cells)
     finally:
         sc.setJobGroup("", "")
-    assert list(df.algo) == algos
+    assert list(df.algo) == [*algos, "plain"]
+    assert list(df.graph) == ["GRID"] * 4 + ["CUBE"]
     rows = df.drop(columns="algo")
     for i in range(1, 3):
         pd.testing.assert_series_equal(rows.iloc[i], rows.iloc[0], check_names=False)
     assert not rows.iloc[3].equals(rows.iloc[0])
-    # The fan-out is the group's last stage: one task per distinct cell.
+    # The fan-out is the group's last stage: one task per graph.
     st = sc.statusTracker()
     stages = [
         st.getStageInfo(s)
