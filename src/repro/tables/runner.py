@@ -17,17 +17,11 @@ freshly started session's first SQL Python UDF costs 1.9–2.7 s against
 """
 from __future__ import annotations
 
-from functools import partial
-
 import pandas as pd
 from pyspark.sql import SparkSession
 
-from repro.graphs.suite import load_graph
-from repro.seq.bz import bz_kcore
 from repro.simcpu.configs import REGISTRY
-from repro.simcpu.engine import run_kcore
 from repro.simcpu.machine import MachineConfig
-from repro.simcpu.metrics import RunMetrics
 
 
 def algo_registry() -> dict:
@@ -58,52 +52,6 @@ def group_cells(cells: list[dict]) -> tuple[list[int], dict]:
     return out, groups
 
 
-def _run_group(machine: MachineConfig, group) -> list[dict]:
-    """One Spark task: the metrics row of each distinct cell of one
-    (graph, scale) group, tagged with the cell's id."""
-    (graph, scale), todo = group
-    out = []
-    for task, algo in todo:
-        try:
-            g = load_graph(graph, scale)  # cached: generated once per task
-            if algo == "bz":
-                res = bz_kcore(g)
-                t = res.work * machine.t_op
-                met = RunMetrics(
-                    kmax=int(res.core.max()), work=res.work,
-                    t_par_units=t, t_seq_units=t,
-                )
-            else:
-                _, met = run_kcore(g, REGISTRY[algo], machine)
-            out.append({
-                "task": task,
-                "graph": graph,
-                "algo": algo,
-                "scale": scale,
-                "n": g.n,
-                "m": g.m,
-                "kmax": met.kmax,
-                "rounds": met.rounds,
-                "rho": met.rho,
-                "work": float(met.work),
-                "t_par": met.t_par_seconds(machine),
-                "t_seq": met.t_seq_seconds(machine),
-                "bspan": float(met.bspan_units),
-                "max_contention": met.max_contention,
-                "max_chain": met.max_chain,
-                "restarts": met.restarts,
-                "n_sampled": met.n_sampled,
-                "resamples": met.resamples,
-                "scanned": met.structure.get("scanned", 0),
-                "moves": met.structure.get("moves", 0),
-            })
-        except Exception as e:
-            raise RuntimeError(
-                f"cell (graph={graph!r}, algo={algo!r}, scale={scale!r}) failed: {e!r}"
-            ) from e
-    return out
-
-
 def run_cells(
     spark: SparkSession,
     cells: list[dict],
@@ -112,10 +60,65 @@ def run_cells(
     """Execute cells in parallel, one Spark task per (graph, scale) and
     each distinct cell once; returns one metrics row per requested cell,
     in request order."""
+    machine = machine or MachineConfig()
     ids, groups = group_cells(cells)
+
+    def _run_group(group) -> list[dict]:
+        # A closure, pickled by value, with its imports inside, so a
+        # worker never imports this module and with it pandas and
+        # pyspark.sql: a module-level task cost each of 4 workers
+        # ~57 MiB and the ``sim`` benchmark sweep ~1 s.
+        from repro.graphs.suite import load_graph
+        from repro.seq.bz import bz_kcore
+        from repro.simcpu.engine import run_kcore
+        from repro.simcpu.metrics import RunMetrics
+
+        (graph, scale), todo = group
+        out = []
+        for task, algo in todo:
+            try:
+                g = load_graph(graph, scale)  # cached: generated once per task
+                if algo == "bz":
+                    res = bz_kcore(g)
+                    t = res.work * machine.t_op
+                    met = RunMetrics(
+                        kmax=int(res.core.max()), work=res.work,
+                        t_par_units=t, t_seq_units=t,
+                    )
+                else:
+                    _, met = run_kcore(g, REGISTRY[algo], machine)
+                out.append({
+                    "task": task,
+                    "graph": graph,
+                    "algo": algo,
+                    "scale": scale,
+                    "n": g.n,
+                    "m": g.m,
+                    "kmax": met.kmax,
+                    "rounds": met.rounds,
+                    "rho": met.rho,
+                    "work": float(met.work),
+                    "t_par": met.t_par_seconds(machine),
+                    "t_seq": met.t_seq_seconds(machine),
+                    "bspan": float(met.bspan_units),
+                    "max_contention": met.max_contention,
+                    "max_chain": met.max_chain,
+                    "restarts": met.restarts,
+                    "n_sampled": met.n_sampled,
+                    "resamples": met.resamples,
+                    "scanned": met.structure.get("scanned", 0),
+                    "moves": met.structure.get("moves", 0),
+                })
+            except Exception as e:
+                raise RuntimeError(
+                    f"cell (graph={graph!r}, algo={algo!r}, scale={scale!r}) "
+                    f"failed: {e!r}"
+                ) from e
+        return out
+
     rows = (
         spark.sparkContext.parallelize(list(groups.items()), len(groups))
-        .flatMap(partial(_run_group, machine or MachineConfig()))
+        .flatMap(_run_group)
         .collect()
     )
     out = pd.DataFrame(rows).set_index("task").loc[ids].reset_index(drop=True)
