@@ -11,9 +11,10 @@ back a pandas frame with one row per requested cell, under the name that
 was requested — the raw material for every table.
 
 The fan-out runs on the RDD layer, not on DataFrames: it maps opaque
-Python calls, so Catalyst has no plan to optimise, and on 4 vCPUs a
-freshly started session's first SQL Python UDF costs 1.9–2.7 s against
-0.35–0.40 s for an RDD ``map``.
+Python calls, so Catalyst has no plan to optimise, and a session's first
+SQL Python UDF is slow to start (on 4 vCPUs, after a SparkContext
+restart, a no-op ``mapInPandas`` over 4 partitions took 1.9–2.5 s and a
+no-op RDD ``map`` 0.3–0.4 s).
 """
 from __future__ import annotations
 
