@@ -5,6 +5,8 @@
 From the checkout that holds this script, it runs, one after another:
 - ``perfbench/run.py --workload W --trace 0`` three times for each
   workload ``BENCHMARK.json`` declares, for its ``run_seconds``;
+- ``perfbench/run.py --workload W --trace 1`` once for each workload,
+  keeping its per-layer metrics (one traced pass; no median);
 - ``python -m repro.tables.check`` three times, timing each run's wall
   clock; a run that finds a differing file stops the script.
 
@@ -42,19 +44,26 @@ def _summary(samples: list[float]) -> dict:
     return {"median": statistics.median(samples), "samples": samples}
 
 
+def _run_perfbench(workload: str, seconds: float, trace: int) -> dict:
+    """The JSON summary line of one ``perfbench/run.py`` run."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seconds", str(seconds), "--trace", str(trace)],
+        cwd=ROOT, capture_output=True, text=True, check=True,
+    )
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
 def perfbench(workload: str, seconds: float) -> dict:
-    """Median end-to-end metrics and failure counts of ``RUNS`` runs."""
-    runs = []
-    for _ in range(RUNS):
-        proc = subprocess.run(
-            [sys.executable, "perfbench/run.py", "--workload", workload,
-             "--seconds", str(seconds), "--trace", "0"],
-            cwd=ROOT, capture_output=True, text=True, check=True,
-        )
-        runs.append(json.loads(proc.stdout.strip().splitlines()[-1]))
+    """Median end-to-end metrics and failure counts of ``RUNS`` runs,
+    and the per-layer metrics of one traced run."""
+    runs = [_run_perfbench(workload, seconds, 0) for _ in range(RUNS)]
     out = {m: _summary([r["metrics"][m]["value"] for r in runs]) for m in PERFBENCH_METRICS}
     out["failed"] = [r["failed"] for r in runs]
     out["attempted"] = [r["attempted"] for r in runs]
+    traced = _run_perfbench(workload, seconds, 1)
+    out["per_layer"] = {k: v["value"] for k, v in traced["metrics"].items()}
+    out["per_layer_failed"] = traced["failed"]
     return out
 
 

@@ -53,6 +53,7 @@ class SamplingDataflowStats:
     subrounds_per_round: list = field(default_factory=list)
     resamples: int = 0
     max_dst_messages: int = 0  # max rows per destination in one subround
+    mu: int = 0  # samples per resample epoch: 4 * sample_c * ln n
 
 
 def _double(x: float) -> str:
@@ -78,6 +79,7 @@ def kcore_dataflow_sampling(
     spark: SparkSession,
     edges: DataFrame,
     *,
+    n: int,
     sample_c: float = 2.5,
     sample_r: float = 0.1,
     threshold: int = 0,
@@ -87,11 +89,12 @@ def kcore_dataflow_sampling(
 ) -> tuple[DataFrame, SamplingDataflowStats]:
     """k-core with the sampling scheme over DataFrame ops.
 
+    ``n`` is the number of vertices, isolated ones included, as in the
+    CSR the edges came from; it sets mu, as in the engine.
     ``enable=False`` runs the identical loop without sampling, for the
     skew comparison. Returns ((id, coreness), stats).
     """
     edges = edges.select("src", "dst")
-    n = edges.select("src").distinct().count()
     mu = math.ceil(4 * sample_c * math.log(max(n, 2)))
     threshold = threshold or max(64, 2 * mu)
     r = _double(sample_r)
@@ -102,7 +105,7 @@ def kcore_dataflow_sampling(
     if enable:
         state = _set_sampler(state, 0, mu, sample_r, threshold)
     state = state.drop("reset").localCheckpoint()
-    stats = SamplingDataflowStats()
+    stats = SamplingDataflowStats(mu=mu)
     subround_id = 0
 
     def peel(state: DataFrame, k: int, probe: Row) -> DataFrame:

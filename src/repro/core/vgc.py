@@ -4,14 +4,20 @@ The shared-memory VGC chains cascading peels inside one subround via
 per-vertex local queues, cutting the number of subrounds (global
 synchronizations) from rho to rho'. The dataflow analogue: vertices are
 hash-partitioned into blocks; each subround broadcasts the frontier
-with the degree and peel state, and a ``mapInPandas`` over
-``spark.range(n_blocks)`` runs the *local cascade* of each block's
-seeds — peeling any chain that stays inside the block (bounded by the
-simulator's local queue cap ``VGC_QUEUE``) — while decrements to
-vertices of other blocks are emitted as messages and collected at the
-subround boundary. A subround is therefore one Spark job, and the
-number of Spark iterations is the dataflow rho', directly comparable to
-the paper's Fig. 7. Rounds whose frontier is empty run no Spark job.
+with the degree and peel state, and one Python task
+(``parallelize(range(n_blocks), 1).flatMap``) runs the *local cascade*
+of each block's seeds — peeling any chain that stays inside the block
+(bounded by the simulator's local queue cap ``VGC_QUEUE``) — while
+decrements to vertices of other blocks are emitted as messages and
+collected at the subround boundary. A subround is therefore one Spark
+job, and the number of Spark iterations is the dataflow rho', directly
+comparable to the paper's Fig. 7. Rounds whose frontier is empty run no
+Spark job.
+
+The task is a plain RDD closure rather than a pandas UDF: each subround
+meets a fresh Python worker, and a ``mapInPandas`` task paid for that
+worker importing pandas, pyarrow and this module (0.65 s cold) to
+cascade a few hundred vertices.
 
 Correctness: within a block the cascade is a legal sequential schedule;
 cross-block decrements are deferred to the barrier, which is exactly
@@ -24,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.graphs.csr import CSR, gather_neighbors
@@ -38,56 +43,6 @@ class VgcDataflowStats:
     rounds: int = 0
     subrounds: int = 0
     subrounds_per_round: list = field(default_factory=list)
-
-
-def _cascade_block(
-    seeds: np.ndarray,
-    my_block: int,
-    indptr: np.ndarray,
-    adj: np.ndarray,
-    deg: np.ndarray,
-    state: np.ndarray,
-    block_of: np.ndarray,
-    k: int,
-) -> pd.DataFrame:
-    """Per-seed bounded local cascades for one block's frontier slice.
-
-    Returns rows (id, kind): kind 0 = peeled in this block's cascades,
-    kind 1 = cross-block decrement message (one row per decrement;
-    in-block decrements are re-derived by the driver from the peel set,
-    so they are *not* messaged — that would double-count them).
-    """
-    deg = deg.copy()  # block-local view; the driver re-derives updates
-    peeled: list[int] = []
-    msgs: list[int] = []
-    for seed in seeds:
-        queue = [int(seed)]
-        enqueued = 1
-        qi = 0
-        while qi < len(queue):
-            v = queue[qi]
-            qi += 1
-            peeled.append(v)
-            for u in adj[indptr[v] : indptr[v + 1]]:
-                u = int(u)
-                if state[u] != _ACTIVE:
-                    continue
-                if block_of[u] != my_block:
-                    msgs.append(u)  # cross-block: defer to the barrier
-                    continue
-                deg[u] -= 1
-                if deg[u] <= k and enqueued < VGC_QUEUE:
-                    state[u] = _PEELED
-                    queue.append(u)
-                    enqueued += 1
-                # Queue full: u stays active; the driver's frontier
-                # recomputation picks it up next subround.
-    return pd.DataFrame(
-        {
-            "id": peeled + msgs,
-            "kind": [0] * len(peeled) + [1] * len(msgs),
-        }
-    )
 
 
 def kcore_dataflow_vgc(
@@ -108,8 +63,8 @@ def kcore_dataflow_vgc(
     block_of = (np.arange(n, dtype=np.int64) % n_blocks).astype(np.int64)
     bc_block = sc.broadcast(block_of)
     # One task runs every block's cascade: a task per block would start a
-    # Python worker per block, each holding its own NumPy and pandas.
-    blocks = spark.range(n_blocks, numPartitions=1)
+    # Python worker per block.
+    blocks = sc.parallelize(range(n_blocks), 1)
     deg = g.degrees().astype(np.int64)
     state = np.zeros(n, dtype=np.int8)
     core = np.zeros(n, dtype=np.int64)
@@ -131,20 +86,47 @@ def kcore_dataflow_vgc(
             bc_sub = sc.broadcast((frontier, deg, state))
             kk = int(k)
 
-            def run_blocks(batches):
+            def run_block(b):
+                """Per-seed bounded local cascades of block ``b``'s
+                frontier slice; returns (peeled ids, cross-block
+                decrement messages, one per decrement). In-block
+                decrements are re-derived by the driver from the peel
+                set, so they are not messaged: that would count them
+                twice. A closure over broadcasts, arrays and ints only,
+                so it is pickled by value and a worker imports no repro
+                module, pandas or pyarrow to run it."""
                 front, dg, st = bc_sub.value
                 ip, aj = bc_graph.value
                 blk = bc_block.value
-                for pdf in batches:
-                    for b in pdf["id"]:
-                        yield _cascade_block(
-                            front[blk[front] == b], int(b), ip, aj, dg, st.copy(),
-                            blk, kk,
-                        )
+                dg, st = dg.copy(), st.copy()  # block-local views
+                peeled, msgs = [], []
+                for seed in front[blk[front] == b]:
+                    queue = [int(seed)]
+                    qi = 0
+                    while qi < len(queue):
+                        v = queue[qi]
+                        qi += 1
+                        peeled.append(v)
+                        for u in aj[ip[v] : ip[v + 1]]:
+                            u = int(u)
+                            if st[u] != _ACTIVE:
+                                continue
+                            if blk[u] != b:
+                                msgs.append(u)  # cross-block: defer to the barrier
+                                continue
+                            dg[u] -= 1
+                            if dg[u] <= kk and len(queue) < VGC_QUEUE:
+                                st[u] = _PEELED
+                                queue.append(u)
+                            # Queue full: u stays active; the driver's
+                            # frontier recomputation picks it up next
+                            # subround.
+                return peeled, msgs
 
-            out = blocks.mapInPandas(run_blocks, schema="id long, kind int").toPandas()
-            peeled = out.loc[out["kind"] == 0, "id"].to_numpy(np.int64)
-            msgs = out.loc[out["kind"] == 1, "id"].to_numpy(np.int64)
+            # flatMap yields each block's (peeled, msgs) pair as two items.
+            out = blocks.flatMap(run_block).collect()
+            peeled = np.array([v for ids in out[0::2] for v in ids], dtype=np.int64)
+            msgs = np.array([u for ids in out[1::2] for u in ids], dtype=np.int64)
             # Chained peels: record and account for them.
             chained = peeled[state[peeled] != _PEELED]
             core[chained] = k

@@ -12,7 +12,7 @@ import pandas as pd
 import pytest
 
 from repro.graphs import generators as gen
-from repro.graphs.csr import build_csr
+from repro.graphs.csr import build_csr, edge_array
 from repro.graphs.spark_graph import edges_to_df
 from repro.oracle import assert_equivalent
 from repro.seq.bz import bz_kcore
@@ -122,6 +122,38 @@ def test_vgc_dataflow_reduces_subrounds(spark):
     assert vgc.subrounds < plain.subrounds
 
 
+VGC_CASES = {
+    # name: (graph, n_blocks, subrounds_per_round or None)
+    "mesh": (GRAPHS["mesh"], 4, None),
+    "hcns": (GRAPHS["hcns"], 4, None),
+    "grid": (lambda: gen.grid_2d(16, 16), 4, [0, 0, 8]),
+    # One block: round 1's cascade from the two ends overflows the local
+    # queue cap (VGC_QUEUE = 128 < 299), so it takes a second subround.
+    "path": (lambda: build_csr(300, np.arange(299), np.arange(1, 300)), 1, [0, 2]),
+}
+
+
+@pytest.mark.parametrize("name", list(VGC_CASES))
+def test_vgc_dataflow_one_job_per_subround(spark, name):
+    """A VGC subround is one Spark job (all blocks' cascades in one task),
+    and rounds with an empty frontier run none."""
+    from repro.core.vgc import kcore_dataflow_vgc
+
+    mk, n_blocks, per_round = VGC_CASES[name]
+    g = mk()
+    sc = spark.sparkContext
+    group = f"vgc-jobs-gate-{name}"
+    sc.setJobGroup(group, group)
+    try:
+        core, stats = kcore_dataflow_vgc(spark, g, n_blocks=n_blocks)
+    finally:
+        sc.setJobGroup("", "")
+    assert np.array_equal(core, bz_kcore(g).core)
+    assert len(sc.statusTracker().getJobIdsForGroup(group)) == stats.subrounds
+    if per_round is not None:
+        assert stats.subrounds_per_round == per_round
+
+
 def _hub_graph():
     """Two 400-leaf hubs + a 10-clique: triggers sample mode."""
     src, dst = [], []
@@ -142,14 +174,31 @@ def test_sampling_dataflow_exact_and_reduces_skew(spark):
     g = _hub_graph()
     expected = _expected_df(g)
     edges = edges_to_df(spark, g)
-    res_s, st_s = kcore_dataflow_sampling(spark, edges, enable=True, seed=3)
+    res_s, st_s = kcore_dataflow_sampling(spark, edges, n=g.n, enable=True, seed=3)
     assert_equivalent(res_s, "SELECT id, coreness FROM expected", expected=expected)
-    res_p, st_p = kcore_dataflow_sampling(spark, edges, enable=False)
+    res_p, st_p = kcore_dataflow_sampling(spark, edges, n=g.n, enable=False)
     assert_equivalent(res_p, "SELECT id, coreness FROM expected", expected=expected)
     assert st_s.resamples > 0
     # The dataflow contention analogue: hot-key rows in the histogram
     # shuffle drop by an order of magnitude under sampling.
     assert st_s.max_dst_messages < st_p.max_dst_messages / 3
+
+
+def test_sampling_dataflow_counts_isolated_vertices(spark):
+    """The hub graph plus 600 isolated vertices: mu comes from all 1012
+    vertices, as in the engine, and the coreness stays exact."""
+    from repro.core.sampling import kcore_dataflow_sampling
+    from repro.simcpu.configs import REGISTRY
+    from repro.simcpu.engine import _Engine
+    from repro.simcpu.machine import MachineConfig
+
+    hub = _hub_graph()
+    e = edge_array(hub)
+    g = build_csr(hub.n + 600, e[:, 0], e[:, 1])
+    res, st = kcore_dataflow_sampling(spark, edges_to_df(spark, g), n=g.n)
+    assert_equivalent(res, "SELECT id, coreness FROM expected", expected=_expected_df(g))
+    assert st.mu == _Engine(g, REGISTRY["sample"], MachineConfig(), False).mu
+    assert st.resamples > 0
 
 
 def test_sampling_dataflow_peels_hubs_in_their_round(spark):
@@ -163,7 +212,7 @@ def test_sampling_dataflow_peels_hubs_in_their_round(spark):
     g = build_csr(
         64 * 301, np.repeat(hubs, 300), (hubs[:, None] + np.arange(1, 301)).ravel()
     )
-    res, st = kcore_dataflow_sampling(spark, edges_to_df(spark, g))
+    res, st = kcore_dataflow_sampling(spark, edges_to_df(spark, g), n=g.n)
     assert_equivalent(res, "SELECT id, coreness FROM expected", expected=_expected_df(g))
     assert st.resamples > 0
 
@@ -176,6 +225,8 @@ def test_sampling_dataflow_round_jumps_stay_exact(spark, graph_and_truth):
     from repro.core.sampling import kcore_dataflow_sampling
 
     g, expected = graph_and_truth["social"]
-    res, st = kcore_dataflow_sampling(spark, edges_to_df(spark, g), threshold=8)
+    res, st = kcore_dataflow_sampling(
+        spark, edges_to_df(spark, g), n=g.n, threshold=8
+    )
     assert_equivalent(res, "SELECT id, coreness FROM expected", expected=expected)
     assert st.resamples > 0

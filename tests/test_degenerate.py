@@ -1,9 +1,10 @@
-"""Degenerate inputs for BZ and the engine (batch, local-search and
-PKC paths); ``build_csr``'s are in ``test_csr.py``.
+"""Degenerate inputs for BZ, the engine (batch, local-search and PKC
+paths) and the dataflow VGC; ``build_csr``'s are in ``test_csr.py``.
 
 Every ``algo_registry()`` config must return BZ's exact coreness on an
 empty graph, isolated vertices, a star, a clique and a disjoint union,
-on a one-core and a 96-core machine."""
+on a one-core and a 96-core machine; so must ``kcore_dataflow_vgc`` with
+one block and with four."""
 import numpy as np
 import pytest
 
@@ -64,3 +65,13 @@ def test_every_config_exact_on_degenerate_graphs(graph, algo, p):
     core, met = run_kcore(g, algo_registry()[algo], MachineConfig(p=p))
     assert np.array_equal(core, bz_kcore(g).core), (graph, algo, p)
     assert met.kmax == EXPECTED_KMAX[graph]
+
+
+@pytest.mark.parametrize("n_blocks", [1, 4])
+@pytest.mark.parametrize("graph", list(GRAPHS))
+def test_vgc_dataflow_exact_on_degenerate_graphs(spark, graph, n_blocks):
+    from repro.core.vgc import kcore_dataflow_vgc
+
+    g = GRAPHS[graph]()
+    core, _ = kcore_dataflow_vgc(spark, g, n_blocks=n_blocks)
+    assert np.array_equal(core, bz_kcore(g).core), (graph, n_blocks)
