@@ -127,8 +127,9 @@ VGC_CASES = {
     "mesh": (GRAPHS["mesh"], 4, None),
     "hcns": (GRAPHS["hcns"], 4, None),
     "grid": (lambda: gen.grid_2d(16, 16), 4, [0, 0, 8]),
-    # One block: round 1's cascade from the two ends overflows the local
-    # queue cap (VGC_QUEUE = 128 < 299), so it takes a second subround.
+    # One block: in round 1 the cascade from each end stops at the local
+    # queue cap (VGC_QUEUE = 128 vertices) before the two meet, so the
+    # middle 44 vertices take a second subround.
     "path": (lambda: build_csr(300, np.arange(299), np.arange(1, 300)), 1, [0, 2]),
 }
 
