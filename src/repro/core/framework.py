@@ -1,23 +1,26 @@
 """Alg. 1 (work-efficient peeling framework) as a Spark DataFrame program.
 
-The offline peel of a subround is Julienne's histogram-based Alg. 2 in
-Catalyst terms, done as one shuffle:
+Every vertex row of the state holds its own out-edges (``nbrs``), as a
+Pregel vertex does, so the only thing a subround shuffles is its
+messages. The offline peel of a subround is Julienne's histogram-based
+Alg. 2 in Catalyst terms, done as one SQL statement with one shuffle:
 
-    msgs  = edges SEMI JOIN broadcast(frontier) ON src     -- removals
+    msgs  = explode(nbrs) of the frontier rows of state   -- removals
     state = (state UNION msgs) GROUPBY id                  -- HISTOGRAM
             -> core = k on the frontier, deg -= count      -- batch apply
 
 The active set is the rows with ``core == -1``; the per-round
-refinement (line 9 of Alg. 1) is the frontier filter itself. Every
-subround ends in ``localCheckpoint()`` followed by one probe aggregate
-over the checkpointed state, which returns the minimum degree of the
-active vertices and so whether the frontier at k is empty. When it is,
-the round ends and the next one starts at k = max(k + 1, min active
-degree): empty buckets are skipped, as Julienne's GetNextBucket does,
-and cost no Spark job. A subround is thus one shuffle plus one probe:
-4 Spark jobs under adaptive execution (the frontier broadcast, the
-shuffle's map stage, the checkpoint and the probe), plus 3 per call
-(the degree count's two stages and the first probe).
+refinement (line 9 of Alg. 1) is the frontier filter itself. The one
+initial ``GROUP BY src`` builds the state from the edges; nothing reads
+the edges after it. ``drive`` checkpoints each step's output with
+``localCheckpoint()`` and reads the probe from that job through an
+observed aggregate: the minimum degree of the active vertices, and so
+whether the frontier at k is empty. When it is, the round ends and the
+next one starts at k = max(k + 1, min active degree): empty buckets are
+skipped, as Julienne's GetNextBucket does, and cost no Spark job. A
+subround is thus 2 Spark jobs under adaptive execution (the shuffle's
+map stage and the checkpoint), plus 2 per call (the same two for the
+initial state).
 
 With ``bucket_width`` b the candidate pool of Julienne's fixed-b
 bucketing is a boolean ``pool`` column of the state: every b rounds the
@@ -30,7 +33,7 @@ count; it saves no scan, since every step rewrites the whole state.
 
 The same round/subround driver (``drive``) runs the sampling program
 (``core/sampling.py``) with its own peel step. Returns exact coreness;
-every subround is a few Spark jobs, so use test-scale graphs (the
+every subround is two Spark jobs, so use test-scale graphs (the
 machine simulator covers benchmark scale).
 """
 from __future__ import annotations
@@ -38,15 +41,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from pyspark.sql import DataFrame, Row, SparkSession
+from pyspark.sql import DataFrame, Observation, SparkSession
 from pyspark.sql import functions as F
 
-from repro.graphs.spark_graph import degrees
+from repro.graphs.spark_graph import ADJACENCY
 
 
-# Every expression below is Spark SQL text: one Py4J call builds it,
-# where a Column tree costs one per node (a third of a warm call's time
-# on the 100-vertex test mesh).
+# Every expression below is Spark SQL text, and each step is one
+# statement: one Py4J call builds it, where a Column tree costs one per
+# node (a third of a warm call's time on the 100-vertex test mesh).
 ACTIVE = "core = -1"  # the rows not yet peeled
 
 
@@ -65,37 +68,44 @@ class PeelStep:
     """What a program plugs into ``drive``.
 
     ``peel(state, k, probe)`` runs one subround on a checkpointed state
-    and returns the next one, checkpointed. Over active rows, ``next_k``
-    is a lower bound on the first round that can peel or validate the
-    row, and ``frontier_deg`` the degree at which the row joins a
-    frontier (null while it cannot). The probe is the row (min next_k, min
-    frontier_deg, *``extra`` aggregates); ``settle(state, k, probe)``,
-    called before each subround and at the round's end, may return a
-    new checkpointed state (the driver probes it again), or None.
+    and returns the next one, not yet materialized. Over active rows,
+    ``next_k`` is a lower bound on the first round that can peel or
+    validate the row, and ``frontier_deg`` the degree at which the row
+    joins a frontier (null while it cannot). The probe is the tuple (min
+    next_k, min frontier_deg, *``extra`` aggregates); ``settle(state, k,
+    probe)``, called before each subround and at the round's end, may
+    return a new state (the driver checkpoints and probes it), or None.
     """
 
-    peel: Callable[[DataFrame, int, Row], DataFrame]
+    peel: Callable[[DataFrame, int, tuple], DataFrame]
     next_k: str
     frontier_deg: str
     extra: tuple[str, ...] = ()
-    settle: Callable[[DataFrame, int, Row], DataFrame | None] | None = None
+    settle: Callable[[DataFrame, int, tuple], DataFrame | None] | None = None
 
 
-def drive(state: DataFrame, step: PeelStep, stats, max_iterations: int) -> DataFrame:
-    """The round/subround loop of Alg. 1 over a checkpointed ``state``
-    with columns id, deg, core (-1 while active), ...; records rounds
-    and subrounds in ``stats`` and returns the final state. Each probe
-    is one Spark job: the state is read as one partition, as the last
-    stage of a global aggregate is anyway."""
-
-    def probe():
-        return state.coalesce(1).selectExpr(
+def drive(state: DataFrame, step: PeelStep, stats, max_iterations: int) -> tuple[DataFrame, tuple]:
+    """The round/subround loop of Alg. 1 over an initial ``state`` with
+    columns id, deg, core (-1 while active), ...; records rounds and
+    subrounds in ``stats`` and returns the final state, checkpointed,
+    and its probe. Every state is checkpointed by one Spark job, which
+    also computes its probe as observed metrics."""
+    probes = [
+        F.expr(f"{e} AS p{i}")
+        for i, e in enumerate((
             f"min(CASE WHEN {ACTIVE} THEN {step.next_k} END)",
             f"min(CASE WHEN {ACTIVE} THEN {step.frontier_deg} END)",
             *step.extra,
-        ).first()
+        ))
+    ]
 
-    row = probe()
+    def checkpoint(df: DataFrame) -> tuple[DataFrame, tuple]:
+        obs = Observation()
+        df = df.observe(obs, *probes).localCheckpoint()
+        metrics = obs.get
+        return df, tuple(metrics[f"p{i}"] for i in range(len(probes)))
+
+    state, row = checkpoint(state)
     k = -1
     iters = 0
     while row[0] is not None:
@@ -113,32 +123,29 @@ def drive(state: DataFrame, step: PeelStep, stats, max_iterations: int) -> DataF
                     raise RuntimeError("dataflow peeling exceeded iteration budget")
                 sub += 1
                 state = step.peel(state, k, row)
-            row = probe()
+            state, row = checkpoint(state)
         stats.rounds += 1
         stats.subrounds += sub
         stats.subrounds_per_round.append(sub)
-    return state
+    return state, row
 
 
-def union_messages(state: DataFrame, msgs: DataFrame, cols: list[str]) -> DataFrame:
-    """The state rows, with ``cols`` (SQL expressions, named) and a zero
-    ``c``, stacked on one row per message in ``msgs`` (its ``dst`` column
-    is the id the message goes to: c = 1), grouped by id: ``c`` is the
-    message count, the other columns the state row's values."""
-    rows = state.selectExpr("id", f"struct({', '.join(cols)}) AS s", "0 AS c")
-    msgs = msgs.selectExpr("dst AS id", "NULL AS s", "1 AS c")
-    grouped = rows.unionByName(msgs).groupBy("id").agg(F.expr("max(s)"), F.expr("sum(c)"))
-    return grouped.toDF("id", "s", "c").selectExpr("id", "s.*", "c")
-
-
-def frontier_edges(edges: DataFrame, state: DataFrame, frontier: str) -> DataFrame:
-    """The (src, dst) edges out of the ``frontier`` rows of ``state``.
-
-    A semi join: an inner join's size estimate is the product of its
-    sides, and a checkpoint carries its plan's estimate into the next
-    subround, so with one the estimate grew without bound."""
-    frontier = F.broadcast(state.where(frontier).selectExpr("id AS src"))
-    return edges.join(frontier, "src", "left_semi")
+def union_messages(cols: list[str], senders: str, dst: str = "nbrs", keep: str = "true") -> str:
+    """SQL over the view ``{state}``: its rows, with ``cols`` (SQL
+    expressions, named) and a zero ``c``, stacked on one row per message
+    and grouped by id. Every row matching ``senders`` sends one message
+    to each id of the array ``dst``, and a message (``src``, ``dst``) is
+    kept where ``keep`` holds; ``c`` is the count of kept messages, the
+    other columns are the state row's values."""
+    return f"""SELECT id, s.*, c FROM (
+  SELECT id, max(s) AS s, sum(c) AS c FROM (
+    SELECT id, struct({', '.join(cols)}) AS s, 0 AS c FROM {{state}}
+    UNION ALL
+    SELECT dst, NULL, 1 FROM (
+      SELECT id AS src, explode({dst}) AS dst FROM {{state}} WHERE {senders}
+    ) WHERE {keep}
+  ) GROUP BY id
+)"""
 
 
 def kcore_dataflow(
@@ -155,32 +162,31 @@ def kcore_dataflow(
     > 1 is the Julienne-style pool.
     """
     assert bucket_width >= 1
-    edges = edges.select("src", "dst")
-    state = degrees(edges).selectExpr("id", "deg", "-1 AS core", "false AS pool").localCheckpoint()
+    state = spark.sql(
+        f"SELECT id, deg, -1 AS core, false AS pool, nbrs FROM ({ADJACENCY})", edges=edges
+    )
     stats = DataflowStats()
     pool_base = None
 
     def rebuild(k: int) -> bool:
         return pool_base is None or k >= pool_base + bucket_width
 
-    def peel(state: DataFrame, k: int, probe: Row) -> DataFrame:
+    def peel(state: DataFrame, k: int, probe: tuple) -> DataFrame:
         nonlocal pool_base
         f = f"{ACTIVE} AND deg <= {k} AND (pool OR {rebuild(k)})"
-        grouped = union_messages(
-            state, frontier_edges(edges, state, f), ["deg", "core", "pool", f"{f} AS f"]
-        )
+        grouped = union_messages(["deg", "core", "pool", "nbrs", f"{f} AS f"], f)
         if rebuild(k):
             pool_base = k
             stats.pool_builds += 1
             pool = f"deg - c < {k + bucket_width}"
         else:
             pool = "pool OR c > 0"  # DecreaseKey: decremented vertices (re)enter the pool
-        return grouped.selectExpr(
-            "id",
-            "deg - c AS deg",
-            f"IF(f, {k}, core) AS core",  # set coreness of the frontier (line 7 of Alg. 1)
-            f"{pool} AS pool",
-        ).localCheckpoint()
+        return spark.sql(
+            f"SELECT id, deg - c AS deg,"
+            f" IF(f, {k}, core) AS core,"  # set coreness of the frontier (line 7 of Alg. 1)
+            f" {pool} AS pool, nbrs FROM ({grouped})",
+            state=state,
+        )
 
-    state = drive(state, PeelStep(peel, "deg", "deg"), stats, max_iterations)
+    state, _ = drive(state, PeelStep(peel, "deg", "deg"), stats, max_iterations)
     return state.selectExpr("id", "core AS coreness"), stats

@@ -11,16 +11,19 @@ addressed to a sample-mode vertex is kept only with probability
 hot keys receive O(mu) rows per resample epoch instead of O(d(v)).
 
 State columns per vertex: deg (stale while sampled), core, smode, rate,
-cnt, mx (the most messages the vertex received in one subround). The
-run uses the round/subround driver of ``core/framework.py`` with its
-own peel step: the removal messages are routed by the destination's
-sampler (the probe lists the sampled vertices, which are broadcast as
-an inline table) into sampled hits (cnt += hits) and plain decrements,
-in the same one-shuffle histogram as the framework. Between subrounds,
-vertices with cnt >= mu are resampled, and each round ends with
-Validate, whose resampled vertices may extend the round. Resampling
-recounts the true induced degree with a join against the active set
-(Alg. 5's Resample).
+cnt, mx (the most messages the vertex received in one subround) and
+nbrs (its adjacency list). The run uses the round/subround driver of
+``core/framework.py`` with its own peel step: the removal messages are
+routed by the destination's sampler (the probe lists the sampled
+vertices, whose rates enter the statement as a map literal) into
+sampled hits (cnt += hits) and plain decrements, in the same
+one-shuffle histogram as the framework. Between subrounds, vertices
+with cnt >= mu are resampled, and each round ends with Validate, whose
+resampled vertices may extend the round. Resampling recounts the true
+induced degree from the adjacency lists of the active set (Alg. 5's
+Resample). A subround or a resample is one SQL statement and 2 Spark
+jobs, and a call 2 more; the closing max(mx) is one more aggregate of
+the last probe, not a job of its own.
 
 Rounds are skipped as in the framework, but a jump must not pass a
 sampled vertex's Validate point: for it the next round is bounded by
@@ -39,11 +42,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 import math
 
-from pyspark.sql import DataFrame, Row, SparkSession
-from pyspark.sql import functions as F
+from pyspark.sql import DataFrame, SparkSession
 
-from repro.core.framework import ACTIVE, PeelStep, drive, frontier_edges, union_messages
-from repro.graphs.spark_graph import degrees
+from repro.core.framework import ACTIVE, PeelStep, drive, union_messages
+from repro.graphs.spark_graph import ADJACENCY
 
 
 @dataclass
@@ -56,22 +58,23 @@ class SamplingDataflowStats:
     mu: int = 0  # samples per resample epoch: 4 * sample_c * ln n
 
 
+# The state columns a step carries through its shuffle.
+CARRIED = ["deg", "core", "smode", "rate", "cnt", "mx", "nbrs"]
+
+
 def _double(x: float) -> str:
     """``x`` as a Spark SQL DOUBLE literal (a bare 0.1 is a DECIMAL)."""
     return f"{float(x)!r}D"
 
 
-def _set_sampler(state: DataFrame, k: int, mu: int, r: float, threshold: int):
-    """Vectorized SetSampler over rows flagged ``reset``."""
+def _set_sampler(rows: str, k: int, mu: int, r: float, threshold: int) -> str:
+    """Vectorized SetSampler over the ``rows`` (a SQL query) flagged
+    ``reset``: a query for the new state."""
     on = f"(reset AND deg * {_double(r)} > {k} AND deg > {threshold})"
-    return state.selectExpr(
-        "id",
-        "deg",
-        "core",
-        f"IF(reset, {on}, smode) AS smode",
-        f"IF({on}, {_double(mu)} / ({_double(1.0 - r)} * deg), rate) AS rate",
-        "IF(reset, 0, cnt) AS cnt",
-        "mx",
+    return (
+        f"SELECT id, deg, core, IF(reset, {on}, smode) AS smode,"
+        f" IF({on}, {_double(mu)} / ({_double(1.0 - r)} * deg), rate) AS rate,"
+        f" IF(reset, 0, cnt) AS cnt, mx, nbrs FROM ({rows})"
     )
 
 
@@ -94,60 +97,48 @@ def kcore_dataflow_sampling(
     ``enable=False`` runs the identical loop without sampling, for the
     skew comparison. Returns ((id, coreness), stats).
     """
-    edges = edges.select("src", "dst")
     mu = math.ceil(4 * sample_c * math.log(max(n, 2)))
     threshold = threshold or max(64, 2 * mu)
     r = _double(sample_r)
-    state = degrees(edges).selectExpr(
-        "id", "deg", "-1 AS core", "false AS smode", "0.0D AS rate", "0 AS cnt",
-        "CAST(0 AS BIGINT) AS mx", "true AS reset",
+    rows = (
+        "SELECT id, deg, -1 AS core, false AS smode, 0.0D AS rate, 0 AS cnt,"
+        f" CAST(0 AS BIGINT) AS mx, nbrs, {enable} AS reset FROM ({ADJACENCY})"
     )
-    if enable:
-        state = _set_sampler(state, 0, mu, sample_r, threshold)
-    state = state.drop("reset").localCheckpoint()
+    state = spark.sql(_set_sampler(rows, 0, mu, sample_r, threshold), edges=edges)
     stats = SamplingDataflowStats(mu=mu)
     subround_id = 0
 
-    def peel(state: DataFrame, k: int, probe: Row) -> DataFrame:
+    def peel(state: DataFrame, k: int, probe: tuple) -> DataFrame:
         nonlocal subround_id
         subround_id += 1
         f = f"{ACTIVE} AND NOT smode AND deg <= {k}"
-        msgs = frontier_edges(edges, state, f)
+        keep = "true"
         if probe[2]:
-            # Route per destination's sampler mode. The sampled (id,
-            # rate) pairs come from the probe, as an inline table (a
-            # DataFrame built from Python rows needs a Python worker):
-            # a join with the state itself would multiply the size
-            # estimate by the state's every subround (see
-            # frontier_edges).
-            rows = ", ".join(f"({v.id}, {_double(v.rate)})" for v in probe[2])
-            sampled = spark.sql(f"SELECT * FROM VALUES {rows} AS t(dst, p)")
+            # Route per destination's sampler mode: a message to a
+            # sampled vertex is kept with probability its rate. The
+            # sampled (id, rate) pairs come from the probe, as a map
+            # literal.
+            rates = ", ".join(f"{v.id}L, {_double(v.rate)}" for v in probe[2])
             coin = f"pmod(xxhash64(src, dst, {subround_id}, {seed}), 1000000) / 1000000D"
-            msgs = msgs.join(F.broadcast(sampled), "dst", "left").where(
-                f"p IS NULL OR {coin} < p"
-            )
-        grouped = union_messages(
-            state, msgs, ["deg", "core", "smode", "rate", "cnt", "mx", f"{f} AS f"]
+            keep = f"coalesce({coin} < try_element_at(map({rates}), dst), true)"
+        grouped = union_messages([*CARRIED, f"{f} AS f"], f, keep=keep)
+        return spark.sql(
+            f"SELECT id, IF(smode, deg, deg - c) AS deg, IF(f, {k}, core) AS core, smode,"
+            " rate, IF(smode, cnt + c, cnt) AS cnt, greatest(mx, c) AS mx, nbrs"
+            f" FROM ({grouped})",
+            state=state,
         )
-        return grouped.selectExpr(
-            "id",
-            "IF(smode, deg, deg - c) AS deg",
-            f"IF(f, {k}, core) AS core",
-            "smode",
-            "rate",
-            "IF(smode, cnt + c, cnt) AS cnt",
-            "greatest(mx, c) AS mx",
-        ).localCheckpoint()
 
     # The smallest k at which Validate rejects a sampled vertex; the
     # 1e-6 keeps the second term a lower bound under rounding.
     validate_k = f"least(ceil(deg * {r}), ceil(deg - 4.0D * cnt / rate - 1e-6D))"
-    # The active sampled vertices, for routing, resampling and Validate.
     extra = (
+        # The active sampled vertices, for routing, resampling and Validate.
         f"collect_list(CASE WHEN {ACTIVE} AND smode THEN struct(id, deg, rate, cnt) END)",
+        "max(mx)",
     )
 
-    def settle(state: DataFrame, k: int, probe: Row) -> DataFrame | None:
+    def settle(state: DataFrame, k: int, probe: tuple) -> DataFrame | None:
         # Vertices with enough samples: recount + resample.
         ids = [v.id for v in probe[2] if v.cnt >= mu]
         if not ids and (probe[1] is None or probe[1] > k):
@@ -163,34 +154,28 @@ def kcore_dataflow_sampling(
         if not ids:
             return None
         stats.resamples += len(ids)
-        return _resample(edges, state, ids, k, mu, sample_r, threshold)
+        return _resample(state, ids, k, mu, sample_r, threshold)
 
     step = PeelStep(
         peel, f"IF(smode, {validate_k}, deg)", "IF(smode, NULL, deg)", extra, settle
     )
-    state = drive(state, step, stats, max_iterations)
-    stats.max_dst_messages = int(state.selectExpr("max(mx)").first()[0] or 0)
+    state, probe = drive(state, step, stats, max_iterations)
+    stats.max_dst_messages = int(probe[3] or 0)
     return state.selectExpr("id", "core AS coreness"), stats
 
 
-def _resample(edges, state, ids, k, mu, r, threshold):
+def _resample(state, ids, k, mu, r, threshold):
     """Recount the true induced degree of the vertices ``ids``, reset
     their samplers (Alg. 5 Resample)."""
-    # One message per edge from a target to an active vertex, sent back
-    # to the target: the count is the target's true induced degree.
+    # One message from each active vertex to each of its neighbours
+    # among the targets: the count is the target's true induced degree.
     listed = ",".join(map(str, ids))
-    live = F.broadcast(state.where(ACTIVE).selectExpr("id AS dst"))
-    back = edges.where(f"src IN ({listed})").join(live, "dst", "left_semi")
-    back = back.selectExpr("src AS dst")
     reset = f"id IN ({listed})"
-    state = union_messages(state, back, ["deg", "core", "smode", "rate", "cnt", "mx"]).selectExpr(
-        "id",
-        f"IF({reset}, c, deg) AS deg",
-        "core",
-        f"smode AND NOT {reset} AS smode",
-        "rate",
-        "cnt",
-        "mx",
-        f"{reset} AS reset",
+    grouped = union_messages(
+        [*CARRIED, f"{reset} AS reset"], ACTIVE, f"filter(nbrs, x -> x IN ({listed}))"
     )
-    return _set_sampler(state, k, mu, r, threshold).localCheckpoint()
+    rows = (
+        "SELECT id, IF(reset, c, deg) AS deg, core, smode AND NOT reset AS smode,"
+        f" rate, cnt, mx, nbrs, reset FROM ({grouped})"
+    )
+    return state.sparkSession.sql(_set_sampler(rows, k, mu, r, threshold), state=state)

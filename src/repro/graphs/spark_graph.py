@@ -30,9 +30,11 @@ def symmetrize(edges: DataFrame) -> DataFrame:
     return fwd.unionByName(bwd).where(F.col("src") != F.col("dst")).distinct()
 
 
-def degrees(edges: DataFrame) -> DataFrame:
-    """(id, deg) for every vertex appearing in the symmetric edge list."""
-    return edges.groupBy(F.col("src").alias("id")).agg(F.count("*").alias("deg"))
+# Spark SQL over a symmetric edge list ``{edges}``: one row (id, deg,
+# nbrs) per vertex appearing in it, with its degree and its neighbours.
+ADJACENCY = (
+    "SELECT src AS id, count(*) AS deg, collect_list(dst) AS nbrs FROM {edges} GROUP BY src"
+)
 
 
 def bipartite_edges_from_lineitem(li: DataFrame) -> DataFrame:

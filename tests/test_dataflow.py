@@ -2,11 +2,16 @@
 framework (Alg. 1 offline), VGC block cascades, sampling. Results are
 checked against BZ through the DuckDB oracle.
 
-A ``kcore_dataflow`` subround costs 4 Spark jobs (plus 3 per call;
-``test_kcore_dataflow_jobs_per_subround`` gates it) and about 0.3 s of
-driver/scheduler time in a warm session on 4 vCPUs, so these
+A ``kcore_dataflow`` or ``kcore_dataflow_sampling`` subround costs 2
+Spark jobs (plus 2 per call; ``test_kcore_dataflow_jobs_per_subround``
+and ``test_sampling_dataflow_jobs_per_subround`` gate it) and about
+0.2 s of driver/scheduler time in a warm session on 4 vCPUs, so these
 integration tests use tiny graphs with a few dozen subrounds at most;
-benchmark-scale behaviour is covered by the machine simulator."""
+benchmark-scale behaviour is covered by the machine simulator.
+
+``PINNED`` and ``SAMPLING_PINNED`` fix the execution structure (rounds,
+subrounds per round, pool rebuilds, resamples, skew) of each call, so a
+change of the schedule fails even where the coreness stays exact."""
 import numpy as np
 import pandas as pd
 import pytest
@@ -35,6 +40,37 @@ GRAPHS = {
 }
 
 
+def _stats(rounds, per_round, **kw):
+    from repro.core.framework import DataflowStats
+    from repro.core.sampling import SamplingDataflowStats
+
+    cls = SamplingDataflowStats if "mu" in kw else DataflowStats
+    return cls(rounds=rounds, subrounds=sum(per_round), subrounds_per_round=per_round, **kw)
+
+
+# (graph, bucket_width) -> the DataflowStats of kcore_dataflow.
+PINNED = {
+    ("gaps", 1): _stats(2, [1, 1], pool_builds=2),
+    ("gaps", 4): _stats(2, [1, 1], pool_builds=1),
+    ("mesh", 1): _stats(2, [2, 4], pool_builds=2),
+    ("mesh", 4): _stats(2, [2, 4], pool_builds=1),
+    ("social", 1): _stats(5, [2, 2, 4, 6, 7], pool_builds=5),
+    ("social", 4): _stats(5, [2, 2, 4, 6, 7], pool_builds=2),
+    ("hcns", 1): _stats(8, [1] * 8, pool_builds=8),
+    ("hcns", 4): _stats(8, [1] * 8, pool_builds=2),
+    ("knn", 1): _stats(1, [3], pool_builds=1),
+    ("knn", 4): _stats(1, [3], pool_builds=1),
+}
+
+# case -> the SamplingDataflowStats of kcore_dataflow_sampling.
+SAMPLING_PINNED = {
+    "hub": _stats(2, [2, 1], resamples=2, max_dst_messages=81, mu=61),
+    "hub-off": _stats(2, [2, 1], resamples=0, max_dst_messages=400, mu=61),
+    "social-t8": _stats(5, [2, 2, 4, 6, 7], resamples=23, max_dst_messages=6, mu=51),
+    "stars": _stats(1, [3], resamples=64, max_dst_messages=130, mu=99),
+}
+
+
 @pytest.fixture(scope="module")
 def graph_and_truth():
     out = {}
@@ -52,6 +88,7 @@ def test_kcore_dataflow_oracle(spark, graph_and_truth, name):
     result, stats = kcore_dataflow(spark, edges_to_df(spark, g))
     assert_equivalent(result, "SELECT id, coreness FROM expected", expected=expected)
     assert stats.rounds >= 1 and stats.subrounds >= 1
+    assert stats == PINNED[name, 1]
 
 
 def test_kcore_dataflow_bucketed_oracle(spark, graph_and_truth):
@@ -63,6 +100,19 @@ def test_kcore_dataflow_bucketed_oracle(spark, graph_and_truth):
     result, stats = kcore_dataflow(spark, edges_to_df(spark, g), bucket_width=4)
     assert_equivalent(result, "SELECT id, coreness FROM expected", expected=expected)
     assert stats.pool_builds <= stats.rounds / 2
+    assert stats == PINNED["hcns", 4]
+
+
+@pytest.mark.parametrize("name", ["social", "knn"])
+def test_kcore_dataflow_bucketed_stats_pinned(spark, graph_and_truth, name):
+    """The pooled frontiers on the graphs no other test runs at
+    bucket_width=4 keep their pinned schedule and stay exact."""
+    from repro.core.framework import kcore_dataflow
+
+    g, expected = graph_and_truth[name]
+    result, stats = kcore_dataflow(spark, edges_to_df(spark, g), bucket_width=4)
+    assert_equivalent(result, "SELECT id, coreness FROM expected", expected=expected)
+    assert stats == PINNED[name, 4]
 
 
 def _gaps():
@@ -80,9 +130,10 @@ def _gaps():
 @pytest.mark.parametrize("bucket_width", [1, 4])
 @pytest.mark.parametrize("name", ["gaps", "mesh"])
 def test_kcore_dataflow_jobs_per_subround(spark, name, bucket_width):
-    """A subround is one shuffle plus one probe, and empty rounds are
-    skipped: at most 5 Spark jobs per subround plus 4 per call, and one
-    round per distinct coreness value."""
+    """A subround is one shuffle whose checkpoint job also computes the
+    probe, and empty rounds are skipped: exactly 2 Spark jobs per
+    subround plus 2 per call, and one round per distinct coreness
+    value."""
     from repro.core.framework import kcore_dataflow
 
     g = _gaps() if name == "gaps" else GRAPHS[name]()
@@ -97,8 +148,30 @@ def test_kcore_dataflow_jobs_per_subround(spark, name, bucket_width):
     jobs = len(sc.statusTracker().getJobIdsForGroup(group))
     expected = _expected_df(g)
     assert_equivalent(result, "SELECT id, coreness FROM expected", expected=expected)
-    assert jobs <= 5 * stats.subrounds + 4
+    assert jobs == 2 * stats.subrounds + 2
     assert stats.rounds == expected["coreness"].nunique()
+    assert stats == PINNED[name, bucket_width]
+
+
+def test_sampling_dataflow_jobs_per_subround(spark, graph_and_truth):
+    """The sampling program shares the driver: on the mesh, which
+    samples no vertex and so never resamples, exactly 2 Spark jobs per
+    subround plus 2 per call, the closing max(mx) included."""
+    from repro.core.sampling import kcore_dataflow_sampling
+
+    g, expected = graph_and_truth["mesh"]
+    edges = edges_to_df(spark, g)
+    sc = spark.sparkContext
+    group = "sampling-jobs-gate-mesh"
+    sc.setJobGroup(group, group)
+    try:
+        result, stats = kcore_dataflow_sampling(spark, edges, n=g.n)
+    finally:
+        sc.setJobGroup("", "")
+    jobs = len(sc.statusTracker().getJobIdsForGroup(group))
+    assert_equivalent(result, "SELECT id, coreness FROM expected", expected=expected)
+    assert stats.resamples == 0
+    assert jobs == 2 * stats.subrounds + 2
 
 
 @pytest.mark.parametrize("name", ["mesh", "hcns"])
@@ -183,6 +256,8 @@ def test_sampling_dataflow_exact_and_reduces_skew(spark):
     # The dataflow contention analogue: hot-key rows in the histogram
     # shuffle drop by an order of magnitude under sampling.
     assert st_s.max_dst_messages < st_p.max_dst_messages / 3
+    assert st_s == SAMPLING_PINNED["hub"]
+    assert st_p == SAMPLING_PINNED["hub-off"]
 
 
 def test_sampling_dataflow_counts_isolated_vertices(spark):
@@ -216,6 +291,7 @@ def test_sampling_dataflow_peels_hubs_in_their_round(spark):
     res, st = kcore_dataflow_sampling(spark, edges_to_df(spark, g), n=g.n)
     assert_equivalent(res, "SELECT id, coreness FROM expected", expected=_expected_df(g))
     assert st.resamples > 0
+    assert st == SAMPLING_PINNED["stars"]
 
 
 def test_sampling_dataflow_round_jumps_stay_exact(spark, graph_and_truth):
@@ -231,3 +307,4 @@ def test_sampling_dataflow_round_jumps_stay_exact(spark, graph_and_truth):
     )
     assert_equivalent(res, "SELECT id, coreness FROM expected", expected=expected)
     assert st.resamples > 0
+    assert st == SAMPLING_PINNED["social-t8"]

@@ -7,8 +7,8 @@ from pyspark.sql import functions as F
 from repro import synth_data
 from repro.graphs import generators as gen
 from repro.graphs.spark_graph import (
+    ADJACENCY,
     bipartite_edges_from_lineitem,
-    degrees,
     df_to_csr,
     edges_to_df,
     symmetrize,
@@ -41,7 +41,7 @@ def test_symmetrize_oracle(spark, raw_edges):
 def test_degrees_oracle(spark, raw_edges):
     sym = symmetrize(raw_edges)
     assert_equivalent(
-        degrees(sym),
+        spark.sql(ADJACENCY, edges=sym).select("id", "deg"),
         "SELECT src AS id, count(*) AS deg FROM sym GROUP BY src",
         sym=sym,
     )
@@ -50,10 +50,11 @@ def test_degrees_oracle(spark, raw_edges):
 def test_degrees_match_csr(spark):
     g = gen.chung_lu(400, 8, seed=3)
     df = edges_to_df(spark, g)
-    got = degrees(df).toPandas().set_index("id")["deg"]
+    got = spark.sql(ADJACENCY, edges=df).toPandas().set_index("id")
     d = g.degrees()
-    for vid, dv in got.items():
-        assert d[vid] == dv
+    for vid, row in got.iterrows():
+        assert d[vid] == row["deg"]
+        assert sorted(row["nbrs"]) == sorted(g.adj[g.indptr[vid] : g.indptr[vid + 1]])
     # Vertices missing from the edge list are exactly the isolated ones.
     assert set(got.index) == set(np.flatnonzero(d > 0))
 
