@@ -1,20 +1,23 @@
-"""Record end-to-end host times of one checkout in ``BENCH_<label>.json``.
+"""Record end-to-end host times of a change and its parent in ``BENCH_<label>.json``.
 
-    python scripts/record_bench.py LABEL
+    python scripts/record_bench.py LABEL PARENT_CHECKOUT
 
-From the checkout that holds this script, it runs, one after another:
-- ``perfbench/run.py --workload W --trace 0`` three times for each
+``PARENT_CHECKOUT`` is a git clone of the parent commit; the change is
+the checkout that holds this script. The script runs each measurement
+as a pair, one run on each checkout, and alternates which checkout runs
+first from one pair to the next, so that host load which changes over
+the recording falls on both sides alike. It runs:
+- ``perfbench/run.py --workload W --trace 0``, three pairs for each
   workload ``BENCHMARK.json`` declares, for its ``run_seconds``;
-- ``perfbench/run.py --workload W --trace 1`` once for each workload,
-  keeping its per-layer metrics (one traced pass; no median);
-- ``python -m repro.tables.check`` three times, timing each run's wall
+- ``perfbench/run.py --workload W --trace 1``, one pair for each
+  workload, keeping its per-layer metrics (one traced pass; no median);
+- ``python -m repro.tables.check``, three pairs, timing each run's wall
   clock; a run that finds a differing file stops the script.
 
-It writes the median of the three runs of each number, the samples, the
-number of usable CPUs and the checkout's git SHA to ``BENCH_<label>.json``
-in the current directory. The file keeps one record per git SHA, so
-running the script from two checkouts (a parent commit and a change) with
-the same label puts their numbers side by side.
+For each checkout it writes the median of its three runs of each
+number, the samples, the number of usable CPUs and the checkout's git
+SHA to ``BENCH_<label>.json`` in the current directory. The file keeps
+one record per git SHA.
 """
 from __future__ import annotations
 
@@ -26,15 +29,14 @@ import subprocess
 import sys
 import time
 
-ROOT = pathlib.Path(__file__).resolve().parent.parent
 RUNS = 3
 PERFBENCH_METRICS = ("wall_s", "setup_s", "peak_rss_mb")
 
 
-def _git(*args: str) -> str:
+def _git(root: pathlib.Path, *args: str) -> str:
     try:
         return subprocess.run(
-            ["git", "-C", str(ROOT), *args], capture_output=True, text=True, check=True
+            ["git", "-C", str(root), *args], capture_output=True, text=True, check=True
         ).stdout.strip()
     except (OSError, subprocess.CalledProcessError):
         return "unknown"
@@ -44,64 +46,80 @@ def _summary(samples: list[float]) -> dict:
     return {"median": statistics.median(samples), "samples": samples}
 
 
-def _run_perfbench(workload: str, seconds: float, trace: int) -> dict:
+def _pairs(roots: list[pathlib.Path], n: int, run) -> dict:
+    """``run(root)`` for each root in ``n`` pairs, the first root of the
+    pair alternating; returns each root's ``n`` results in order."""
+    out = {root: [] for root in roots}
+    for i in range(n):
+        for root in roots[i % 2 :] + roots[: i % 2]:
+            out[root].append(run(root))
+    return out
+
+
+def _run_perfbench(root: pathlib.Path, workload: str, seconds: float, trace: int) -> dict:
     """The JSON summary line of one ``perfbench/run.py`` run."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seconds", str(seconds), "--trace", str(trace)],
-        cwd=ROOT, capture_output=True, text=True, check=True,
+        cwd=root, capture_output=True, text=True, check=True,
     )
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def perfbench(workload: str, seconds: float) -> dict:
-    """Median end-to-end metrics and failure counts of ``RUNS`` runs,
-    and the per-layer metrics of one traced run."""
-    runs = [_run_perfbench(workload, seconds, 0) for _ in range(RUNS)]
-    out = {m: _summary([r["metrics"][m]["value"] for r in runs]) for m in PERFBENCH_METRICS}
-    out["failed"] = [r["failed"] for r in runs]
-    out["attempted"] = [r["attempted"] for r in runs]
-    traced = _run_perfbench(workload, seconds, 1)
-    out["per_layer"] = {k: v["value"] for k, v in traced["metrics"].items()}
-    out["per_layer_failed"] = traced["failed"]
+def perfbench(roots: list[pathlib.Path], workload: str, seconds: float) -> dict:
+    """Per root: median end-to-end metrics and failure counts of ``RUNS``
+    runs, and the per-layer metrics of one traced run."""
+    runs = _pairs(roots, RUNS, lambda root: _run_perfbench(root, workload, seconds, 0))
+    traced = _pairs(roots, 1, lambda root: _run_perfbench(root, workload, seconds, 1))
+    out = {}
+    for root in roots:
+        rs = runs[root]
+        res = {m: _summary([r["metrics"][m]["value"] for r in rs]) for m in PERFBENCH_METRICS}
+        res["failed"] = [r["failed"] for r in rs]
+        res["attempted"] = [r["attempted"] for r in rs]
+        (t,) = traced[root]
+        res["per_layer"] = {k: v["value"] for k, v in t["metrics"].items()}
+        res["per_layer_failed"] = t["failed"]
+        out[root] = res
     return out
 
 
-def tables_check() -> dict:
-    """Median wall seconds of ``RUNS`` byte-identity checks of results/."""
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    walls = []
-    for _ in range(RUNS):
-        t0 = time.perf_counter()
-        subprocess.run(
-            [sys.executable, "-m", "repro.tables.check"],
-            cwd=ROOT, env=env, capture_output=True, text=True, check=True,
-        )
-        walls.append(time.perf_counter() - t0)
-    return _summary(walls)
+def _tables_check(root: pathlib.Path) -> float:
+    """Wall seconds of one byte-identity check of ``root``'s results/."""
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    t0 = time.perf_counter()
+    subprocess.run(
+        [sys.executable, "-m", "repro.tables.check"],
+        cwd=root, env=env, capture_output=True, text=True, check=True,
+    )
+    return time.perf_counter() - t0
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) != 1:
-        print("usage: python scripts/record_bench.py LABEL", file=sys.stderr)
+    if len(argv) != 2:
+        print("usage: python scripts/record_bench.py LABEL PARENT_CHECKOUT", file=sys.stderr)
         return 2
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    record = {
-        "git_sha": _git("rev-parse", "HEAD"),
-        # False when src/ or perfbench/ differ from the recorded SHA.
-        "clean": _git("status", "--porcelain", "--", "src", "perfbench") == "",
-        "nproc": len(os.sched_getaffinity(0)),
-        "runs": RUNS,
-        "perfbench": {
-            w["name"]: perfbench(w["name"], spec["run_seconds"])
-            for w in spec["workloads"]
-        },
-        "tables_check_s": tables_check(),
+    label, parent = argv[0], pathlib.Path(argv[1]).resolve()
+    roots = [parent, pathlib.Path(__file__).resolve().parent.parent]
+    spec = json.loads((roots[1] / "BENCHMARK.json").read_text())
+    benches = {
+        w["name"]: perfbench(roots, w["name"], spec["run_seconds"]) for w in spec["workloads"]
     }
-    path = pathlib.Path(f"BENCH_{argv[0]}.json")
+    checks = _pairs(roots, RUNS, _tables_check)
+    path = pathlib.Path(f"BENCH_{label}.json")
     records = json.loads(path.read_text())["records"] if path.exists() else []
-    records = [r for r in records if r["git_sha"] != record["git_sha"]] + [record]
-    path.write_text(json.dumps({"label": argv[0], "records": records}, indent=2) + "\n")
+    for root in roots:
+        record = {
+            "git_sha": _git(root, "rev-parse", "HEAD"),
+            # False when src/ or perfbench/ differ from the recorded SHA.
+            "clean": _git(root, "status", "--porcelain", "--", "src", "perfbench") == "",
+            "nproc": len(os.sched_getaffinity(0)),
+            "runs": RUNS,
+            "perfbench": {name: res[root] for name, res in benches.items()},
+            "tables_check_s": _summary(checks[root]),
+        }
+        records = [r for r in records if r["git_sha"] != record["git_sha"]] + [record]
+    path.write_text(json.dumps({"label": label, "records": records}, indent=2) + "\n")
     print(f"wrote {path}")
     return 0
 

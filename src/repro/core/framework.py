@@ -32,9 +32,10 @@ The column keeps the bucket structure's semantics and its rebuild
 count; it saves no scan, since every step rewrites the whole state.
 
 The same round/subround driver (``drive``) runs the sampling program
-(``core/sampling.py``) with its own peel step. Returns exact coreness;
-every subround is two Spark jobs, so use test-scale graphs (the
-machine simulator covers benchmark scale).
+(``core/sampling.py``) and the k'-core subgraph fixpoint
+(``core/subgraph.py``), each with its own peel step. Returns exact
+coreness; every subround is two Spark jobs, so use test-scale graphs
+(the machine simulator covers benchmark scale).
 """
 from __future__ import annotations
 
@@ -51,6 +52,9 @@ from repro.graphs.spark_graph import ADJACENCY
 # statement: one Py4J call builds it, where a Column tree costs one per
 # node (a third of a warm call's time on the 100-vertex test mesh).
 ACTIVE = "core = -1"  # the rows not yet peeled
+# A run of more subrounds than this is a bug, not a big graph: every
+# dataflow program is meant for test-scale graphs.
+MAX_SUBROUNDS = 10_000
 
 
 @dataclass
@@ -84,7 +88,7 @@ class PeelStep:
     settle: Callable[[DataFrame, int, tuple], DataFrame | None] | None = None
 
 
-def drive(state: DataFrame, step: PeelStep, stats, max_iterations: int) -> tuple[DataFrame, tuple]:
+def drive(state: DataFrame, step: PeelStep, stats) -> tuple[DataFrame, tuple]:
     """The round/subround loop of Alg. 1 over an initial ``state`` with
     columns id, deg, core (-1 while active), ...; records rounds and
     subrounds in ``stats`` and returns the final state, checkpointed,
@@ -107,7 +111,6 @@ def drive(state: DataFrame, step: PeelStep, stats, max_iterations: int) -> tuple
 
     state, row = checkpoint(state)
     k = -1
-    iters = 0
     while row[0] is not None:
         k = max(k + 1, row[0])
         sub = 0
@@ -118,10 +121,9 @@ def drive(state: DataFrame, step: PeelStep, stats, max_iterations: int) -> tuple
             elif row[1] is None or row[1] > k:  # the frontier at k is empty
                 break
             else:
-                iters += 1
-                if iters > max_iterations:
-                    raise RuntimeError("dataflow peeling exceeded iteration budget")
                 sub += 1
+                if stats.subrounds + sub > MAX_SUBROUNDS:
+                    raise RuntimeError("dataflow peeling exceeded iteration budget")
                 state = step.peel(state, k, row)
             state, row = checkpoint(state)
         stats.rounds += 1
@@ -153,7 +155,6 @@ def kcore_dataflow(
     edges: DataFrame,
     *,
     bucket_width: int = 1,
-    max_iterations: int = 10_000,
 ) -> tuple[DataFrame, DataflowStats]:
     """Exact k-core decomposition of a symmetric edge DataFrame.
 
@@ -188,5 +189,5 @@ def kcore_dataflow(
             state=state,
         )
 
-    state, _ = drive(state, PeelStep(peel, "deg", "deg"), stats, max_iterations)
+    state, _ = drive(state, PeelStep(peel, "deg", "deg"), stats)
     return state.selectExpr("id", "core AS coreness"), stats

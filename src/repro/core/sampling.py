@@ -88,7 +88,6 @@ def kcore_dataflow_sampling(
     threshold: int = 0,
     seed: int = 42,
     enable: bool = True,
-    max_iterations: int = 10_000,
 ) -> tuple[DataFrame, SamplingDataflowStats]:
     """k-core with the sampling scheme over DataFrame ops.
 
@@ -159,7 +158,7 @@ def kcore_dataflow_sampling(
     step = PeelStep(
         peel, f"IF(smode, {validate_k}, deg)", "IF(smode, NULL, deg)", extra, settle
     )
-    state, probe = drive(state, step, stats, max_iterations)
+    state, probe = drive(state, step, stats)
     stats.max_dst_messages = int(probe[3] or 0)
     return state.selectExpr("id", "core AS coreness"), stats
 

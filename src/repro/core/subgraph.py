@@ -20,8 +20,9 @@ We implement:
   atomic contention on high-degree vertices (no sampling). This models
   the system the paper measured; Galois itself is closed-source-ish
   C++ we cannot run here (substitution documented in DESIGN.md).
-- ``kcore_subgraph_dataflow`` a DataFrame fixpoint (filter + histogram
-  loop) used for oracle checking in tests.
+- ``kcore_subgraph_dataflow`` the same fixpoint as a Spark DataFrame
+  program on the framework's driver (``core/framework.drive``), used
+  for oracle checking in tests.
 
 All three return the same exact membership mask.
 """
@@ -31,10 +32,11 @@ from dataclasses import replace
 
 import numpy as np
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 
 from repro.bucket.interface import PEELED
+from repro.core.framework import ACTIVE, DataflowStats, PeelStep, drive, union_messages
 from repro.graphs.csr import CSR
+from repro.graphs.spark_graph import ADJACENCY
 from repro.simcpu.configs import OURS, REGISTRY
 from repro.simcpu.engine import AlgoConfig, _Engine
 from repro.simcpu.machine import MachineConfig
@@ -49,7 +51,7 @@ def _survivors(
 ) -> tuple[np.ndarray, RunMetrics]:
     """Peel rounds 0..k'-1 of ``algo``; the unpeeled vertices are the
     maximum k'-core. Returns (membership mask, metrics)."""
-    eng = _Engine(g, algo, machine, collect=False)
+    eng = _Engine(g, algo, machine)
     _, met = eng.run(stop_at_k=kprime)
     return eng.state != PEELED, met
 
@@ -111,21 +113,24 @@ def _is_kcore(g: CSR, member: np.ndarray, kprime: int) -> bool:
 
 
 def kcore_subgraph_dataflow(
-    spark: SparkSession, edges: DataFrame, kprime: int, *, max_iterations: int = 2000
-) -> DataFrame:
-    """DataFrame fixpoint: drop vertices with degree < k' until stable.
-    Returns the (id) DataFrame of the maximum k'-core members."""
-    live = edges.select("src", "dst").localCheckpoint()
-    for _ in range(max_iterations):
-        deg = live.groupBy("src").agg(F.count("*").alias("deg"))
-        keep = deg.where(F.col("deg") >= kprime).select("src").localCheckpoint()
-        nxt = (
-            live.join(keep, "src")
-            .join(keep.withColumnRenamed("src", "dst"), "dst")
-            .select("src", "dst")
-            .localCheckpoint()
+    spark: SparkSession, edges: DataFrame, kprime: int
+) -> tuple[DataFrame, DataflowStats]:
+    """The framework's driver run as a fixpoint: one round, k' - 1, whose
+    subrounds peel every active vertex of degree < k' until none is
+    left. Returns ((id) DataFrame of the maximum k'-core members,
+    stats); like ``kcore_dataflow`` it sees only the vertices of the
+    edge list, so isolated ones are missing from the 0-core."""
+    state = spark.sql(f"SELECT id, deg, -1 AS core, nbrs FROM ({ADJACENCY})", edges=edges)
+    stats = DataflowStats()
+
+    def peel(state: DataFrame, k: int, probe: tuple) -> DataFrame:
+        f = f"{ACTIVE} AND deg < {kprime}"
+        grouped = union_messages(["deg", "core", "nbrs", f"{f} AS f"], f)
+        return spark.sql(
+            f"SELECT id, deg - c AS deg, IF(f, {k}, core) AS core, nbrs FROM ({grouped})",
+            state=state,
         )
-        if nxt.count() == live.count():
-            return keep.select(F.col("src").alias("id"))
-        live = nxt
-    raise RuntimeError("k-core subgraph fixpoint did not converge")
+
+    step = PeelStep(peel, f"IF(deg < {kprime}, {kprime - 1}, NULL)", "deg")
+    state, _ = drive(state, step, stats)
+    return state.where(ACTIVE).select("id"), stats

@@ -83,8 +83,6 @@ def run_kcore(
     g: CSR,
     algo: AlgoConfig,
     machine: MachineConfig | None = None,
-    *,
-    collect_subrounds: bool = False,
 ) -> tuple[np.ndarray, RunMetrics]:
     """Run one peeling algorithm; return (coreness, metrics).
 
@@ -93,13 +91,13 @@ def run_kcore(
     without sampling and count the restart.
     """
     machine = machine or MachineConfig()
-    core, metrics = _Engine(g, algo, machine, collect_subrounds).run()
+    core, metrics = _Engine(g, algo, machine).run()
     if algo.sampling:
         from repro.seq.bz import verify_coreness
 
         if not verify_coreness(g, core):
             retry = replace(algo, sampling=False)
-            core, metrics = _Engine(g, retry, machine, collect_subrounds).run()
+            core, metrics = _Engine(g, retry, machine).run()
             metrics.restarts = 1
             metrics.algo = algo.name
     return core, metrics
@@ -108,11 +106,10 @@ def run_kcore(
 class _Engine:
     """Mutable state for a single simulated run."""
 
-    def __init__(self, g: CSR, algo: AlgoConfig, machine: MachineConfig, collect: bool):
+    def __init__(self, g: CSR, algo: AlgoConfig, machine: MachineConfig):
         self.g = g
         self.algo = algo
         self.mc = machine
-        self.collect = collect
         self.n = g.n
         self.indptr = g.indptr
         self.adj = g.adj
@@ -460,8 +457,7 @@ class _Engine:
                 frontier = self._validate(k)
                 if len(frontier) == 0:
                     break
-            if self.collect:
-                self.met.subrounds_per_round.append(subrounds)
+            self.met.subrounds_per_round.append(subrounds)
             self.met.rounds += 1
             k += 1
             if k > self.n + 2:  # safety net; cannot happen on valid input

@@ -31,7 +31,7 @@ class RunMetrics:
     resamples: int = 0
     validations: int = 0
     structure: dict = field(default_factory=dict)
-    # Optional per-round subround counts (for the Fig. 7 table).
+    # Subrounds per round, in round order.
     subrounds_per_round: list = field(default_factory=list)
 
     def t_par_seconds(self, machine) -> float:

@@ -273,7 +273,7 @@ def test_sampling_dataflow_counts_isolated_vertices(spark):
     g = build_csr(hub.n + 600, e[:, 0], e[:, 1])
     res, st = kcore_dataflow_sampling(spark, edges_to_df(spark, g), n=g.n)
     assert_equivalent(res, "SELECT id, coreness FROM expected", expected=_expected_df(g))
-    assert st.mu == _Engine(g, REGISTRY["sample"], MachineConfig(), False).mu
+    assert st.mu == _Engine(g, REGISTRY["sample"], MachineConfig()).mu
     assert st.resamples > 0
 
 

@@ -66,7 +66,7 @@ def test_vgc_reduces_subrounds():
 
 def test_pkc_single_subround_per_round():
     g = load_graph("GRID", "mini")
-    _, met = run_kcore(g, PKC, collect_subrounds=True)
+    _, met = run_kcore(g, PKC)
     assert all(s <= 1 for s in met.subrounds_per_round)
     assert met.max_chain > 0
 
@@ -92,7 +92,7 @@ def test_work_efficiency_bound():
 
 def test_subround_counts_match_rho():
     g = load_graph("CUBE", "mini")
-    _, met = run_kcore(g, PLAIN, collect_subrounds=True)
+    _, met = run_kcore(g, PLAIN)
     assert sum(met.subrounds_per_round) == met.rho
     assert len(met.subrounds_per_round) == met.rounds
 
@@ -100,8 +100,8 @@ def test_subround_counts_match_rho():
 def test_offline_and_online_same_subround_structure():
     """Without VGC, both peel the same frontiers (Alg. 2 vs Alg. 3)."""
     g = load_graph("BBL", "mini")
-    _, on = run_kcore(g, PLAIN, collect_subrounds=True)
-    _, off = run_kcore(g, JULIENNE, collect_subrounds=True)
+    _, on = run_kcore(g, PLAIN)
+    _, off = run_kcore(g, JULIENNE)
     assert on.subrounds_per_round == off.subrounds_per_round
 
 
@@ -134,6 +134,7 @@ def test_sampling_recovery_with_adversarial_mu():
     )
     core, met = run_kcore(g, bad)
     assert np.array_equal(core, truth)  # correct either way (Las Vegas)
+    assert met.restarts == 1  # the sampled run failed verification
 
 
 def test_machine_config_scaling():

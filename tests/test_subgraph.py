@@ -63,15 +63,27 @@ def test_k_zero_keeps_everything(hub_graph):
     assert mask.all()
 
 
-@pytest.mark.parametrize("k", [2, 6])
+@pytest.mark.parametrize("k", [0, 1, 2, 6, "k_max", "k_max+1"])
 def test_subgraph_dataflow(spark, hub_graph, k):
+    """The fixpoint on the framework's driver is exact from the whole
+    graph (k' = 0) down to the empty core (k' = k_max + 1), and runs as
+    one round: 2 Spark jobs per subround plus 2 per call. The program
+    sees the vertices of the edge list only, so the hub graph's 29
+    isolated vertices are missing from its 0-core."""
     g, core = hub_graph
-    ids = (
-        kcore_subgraph_dataflow(spark, edges_to_df(spark, g), k)
-        .toPandas()["id"]
-        .to_numpy()
-    )
-    assert set(ids) == set(np.flatnonzero(core >= k))
+    k = {"k_max": int(core.max()), "k_max+1": int(core.max()) + 1}.get(k, k)
+    edges = edges_to_df(spark, g)
+    sc = spark.sparkContext
+    group = f"subgraph-jobs-gate-{k}"
+    sc.setJobGroup(group, group)
+    try:
+        ids, stats = kcore_subgraph_dataflow(spark, edges, k)
+    finally:
+        sc.setJobGroup("", "")
+    jobs = len(sc.statusTracker().getJobIdsForGroup(group))
+    assert set(ids.toPandas()["id"]) == set(np.flatnonzero((core >= k) & (g.degrees() > 0)))
+    assert jobs == 2 * stats.subrounds + 2
+    assert stats.rounds == (stats.subrounds > 0)
 
 
 def test_variants_without_techniques(hub_graph):
