@@ -71,8 +71,9 @@ def kcore_dataflow_vgc(
                 frontier slice; returns the ids they chained. A closure
                 over arrays and ints only, so it is pickled by value
                 and a worker imports no repro module, pandas or pyarrow
-                to run it. The blocks of one task share the arrays, but
-                each reads and writes only its own vertices' entries."""
+                to run it. It works on the task's own copies of the
+                arrays; the blocks share them, but each reads and writes
+                only its own vertices' entries."""
                 chained = []
                 for seed in frontier[frontier % n_blocks == b]:
                     queue = [int(seed)]
