@@ -12,7 +12,10 @@ the recording falls on both sides alike. It runs:
 - ``perfbench/run.py --workload W --trace 1``, one pair for each
   workload, keeping its per-layer metrics (one traced pass; no median);
 - ``python -m repro.tables.check``, three pairs, timing each run's wall
-  clock; a run that finds a differing file stops the script.
+  clock; a run that finds a differing file stops the script;
+- ``figs.fig12_subgraph()``, three pairs, each call timed inside a fresh
+  Python process (graph generation included, imports excluded): Fig. 12
+  runs on the driver, outside the ``check`` sweep's Spark fan-out.
 
 For each checkout it writes the median of its three runs of each
 number, the samples, the number of usable CPUs and the checkout's git
@@ -95,6 +98,22 @@ def _tables_check(root: pathlib.Path) -> float:
     return time.perf_counter() - t0
 
 
+def _fig12(root: pathlib.Path) -> float:
+    """Seconds of one ``figs.fig12_subgraph()`` call in ``root``'s code."""
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    code = (
+        "import time\n"
+        "from repro.tables import figs\n"
+        "t0 = time.perf_counter()\n"
+        "figs.fig12_subgraph()\n"
+        "print(time.perf_counter() - t0)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=root, env=env, capture_output=True, text=True, check=True,
+    )
+    return float(proc.stdout.strip().splitlines()[-1])
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print("usage: python scripts/record_bench.py LABEL PARENT_CHECKOUT", file=sys.stderr)
@@ -106,6 +125,7 @@ def main(argv: list[str]) -> int:
         w["name"]: perfbench(roots, w["name"], spec["run_seconds"]) for w in spec["workloads"]
     }
     checks = _pairs(roots, RUNS, _tables_check)
+    fig12 = _pairs(roots, RUNS, _fig12)
     path = pathlib.Path(f"BENCH_{label}.json")
     records = json.loads(path.read_text())["records"] if path.exists() else []
     for root in roots:
@@ -117,6 +137,7 @@ def main(argv: list[str]) -> int:
             "runs": RUNS,
             "perfbench": {name: res[root] for name, res in benches.items()},
             "tables_check_s": _summary(checks[root]),
+            "fig12_s": _summary(fig12[root]),
         }
         records = [r for r in records if r["git_sha"] != record["git_sha"]] + [record]
     path.write_text(json.dumps({"label": label, "records": records}, indent=2) + "\n")

@@ -39,20 +39,17 @@ asserted against BZ in tests (the whp argument of Thm. 4.2).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import math
 
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.core.framework import ACTIVE, PeelStep, drive, union_messages
+from repro.core.framework import ACTIVE, DataflowStats, PeelStep, drive, union_messages
 from repro.graphs.spark_graph import ADJACENCY
 
 
 @dataclass
-class SamplingDataflowStats:
-    rounds: int = 0
-    subrounds: int = 0
-    subrounds_per_round: list = field(default_factory=list)
+class SamplingDataflowStats(DataflowStats):
     resamples: int = 0
     max_dst_messages: int = 0  # max rows per destination in one subround
     mu: int = 0  # samples per resample epoch: 4 * sample_c * ln n

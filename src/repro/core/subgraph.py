@@ -6,14 +6,10 @@ paper adapts its framework (online peel + VGC + sampling) to this
 problem and compares against Galois [60], an asynchronous
 worklist-based system.
 
-We implement:
-
-- ``kcore_subgraph``        ours-adapted: the engine's own round loop
-  (``_Engine.run(stop_at_k=k')``) with OURS's online peel, VGC local
-  queues, sampling (validated at the end of each round) and adaptive
-  HBS, stopped before round k' on the machine simulator's cost model.
-  A sampled run whose survivors fail the k'-core check reruns without
-  sampling (Las Vegas).
+- ours-adapted is the engine itself: ``run_kcore(g, OURS, machine,
+  stop_at_k=k')`` stops before round k' and caps coreness at k', so
+  ``core >= k'`` is the k'-core. Its Las Vegas check is the one of a
+  full run, on the capped coreness.
 - ``kcore_subgraph_galois`` the Galois-like baseline: an asynchronous
   worklist — no subround barriers (no omega per subround), but every
   activated task pays Galois's per-activity worklist overhead and full
@@ -24,59 +20,23 @@ We implement:
   program on the framework's driver (``core/framework.drive``), used
   for oracle checking in tests.
 
-All three return the same exact membership mask.
+All three return the same exact membership, isolated vertices included.
 """
 from __future__ import annotations
-
-from dataclasses import replace
 
 import numpy as np
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.bucket.interface import PEELED
 from repro.core.framework import ACTIVE, DataflowStats, PeelStep, drive, union_messages
 from repro.graphs.csr import CSR
 from repro.graphs.spark_graph import ADJACENCY
-from repro.simcpu.configs import OURS, REGISTRY
-from repro.simcpu.engine import AlgoConfig, _Engine
+from repro.simcpu.configs import REGISTRY
+from repro.simcpu.engine import run_kcore
 from repro.simcpu.machine import MachineConfig
 from repro.simcpu.metrics import RunMetrics
 
 # Galois's per-activity worklist overhead, in cost-model units.
 T_TASK = 12.0
-
-
-def _survivors(
-    g: CSR, kprime: int, algo: AlgoConfig, machine: MachineConfig
-) -> tuple[np.ndarray, RunMetrics]:
-    """Peel rounds 0..k'-1 of ``algo``; the unpeeled vertices are the
-    maximum k'-core. Returns (membership mask, metrics)."""
-    eng = _Engine(g, algo, machine)
-    _, met = eng.run(stop_at_k=kprime)
-    return eng.state != PEELED, met
-
-
-def kcore_subgraph(
-    g: CSR,
-    kprime: int,
-    *,
-    machine: MachineConfig | None = None,
-    vgc: bool = True,
-    sampling: bool = True,
-) -> tuple[np.ndarray, RunMetrics]:
-    """Ours-adapted max k'-core (membership mask, metrics)."""
-    machine = machine or MachineConfig()
-    algo = replace(OURS, name="ours-subgraph", vgc=vgc, sampling=sampling)
-    member, met = _survivors(g, kprime, algo, machine)
-    if sampling:
-        # Las Vegas check: survivors must all have >= k' surviving
-        # neighbors; otherwise rerun without sampling.
-        if not _is_kcore(g, member, kprime):
-            member, met = _survivors(
-                g, kprime, replace(algo, sampling=False), machine
-            )
-            met.restarts = 1
-    return member, met
 
 
 def kcore_subgraph_galois(
@@ -89,7 +49,8 @@ def kcore_subgraph_galois(
     overhead (T_TASK per processed vertex) + full contention serialized
     on the hottest location (no sampling)."""
     machine = machine or MachineConfig()
-    member, met = _survivors(g, kprime, REGISTRY["plain"], machine)
+    core, met = run_kcore(g, REGISTRY["plain"], machine, stop_at_k=kprime)
+    member = core >= kprime
     # Re-price: remove the per-subround omega charges, add worklist
     # overhead per activation and keep the serialized contention.
     n_activated = int((~member).sum())
@@ -99,27 +60,16 @@ def kcore_subgraph_galois(
     return member, met
 
 
-def _is_kcore(g: CSR, member: np.ndarray, kprime: int) -> bool:
-    """Every member has >= k' member neighbors (the sampling recovery
-    check). Only members are checked: sampling can delay a vertex's
-    peel, never advance it, so a failure always leaves a member short
-    of neighbors."""
-    if not member.any():
-        return True
-    src = np.repeat(np.arange(g.n), np.diff(g.indptr))
-    both = member[src] & member[g.adj]
-    deg_in = np.bincount(src[both], minlength=g.n)
-    return bool((deg_in[member] >= kprime).all())
-
-
 def kcore_subgraph_dataflow(
-    spark: SparkSession, edges: DataFrame, kprime: int
+    spark: SparkSession, edges: DataFrame, kprime: int, *, n: int
 ) -> tuple[DataFrame, DataflowStats]:
     """The framework's driver run as a fixpoint: one round, k' - 1, whose
     subrounds peel every active vertex of degree < k' until none is
-    left. Returns ((id) DataFrame of the maximum k'-core members,
-    stats); like ``kcore_dataflow`` it sees only the vertices of the
-    edge list, so isolated ones are missing from the 0-core."""
+    left. Returns ((id) DataFrame of the maximum k'-core members of the
+    vertices 0..n-1, stats)."""
+    # One (id, NULL) row per vertex puts the isolated ones in the state:
+    # ADJACENCY counts and collects dst, which skips the NULLs.
+    edges = edges.unionByName(spark.range(n).selectExpr("id AS src", "NULL AS dst"))
     state = spark.sql(f"SELECT id, deg, -1 AS core, nbrs FROM ({ADJACENCY})", edges=edges)
     stats = DataflowStats()
 

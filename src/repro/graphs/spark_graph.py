@@ -31,9 +31,10 @@ def symmetrize(edges: DataFrame) -> DataFrame:
 
 
 # Spark SQL over a symmetric edge list ``{edges}``: one row (id, deg,
-# nbrs) per vertex appearing in it, with its degree and its neighbours.
+# nbrs) per vertex appearing in it as ``src``, with its degree and its
+# neighbours. A row with a NULL ``dst`` adds its ``src`` and no edge.
 ADJACENCY = (
-    "SELECT src AS id, count(*) AS deg, collect_list(dst) AS nbrs FROM {edges} GROUP BY src"
+    "SELECT src AS id, count(dst) AS deg, collect_list(dst) AS nbrs FROM {edges} GROUP BY src"
 )
 
 

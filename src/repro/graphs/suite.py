@@ -33,9 +33,6 @@ class GraphSpec:
     paper: dict = field(default_factory=dict)
     note: str = ""
 
-    def make(self, scale: str = "bench") -> CSR:
-        return load_graph(self.key, scale)
-
 
 def _cl(n, avg, exp, seed, frac=0.02):
     return lambda: gen.chung_lu(n, avg, exp, seed=seed, max_weight_frac=frac)
@@ -189,8 +186,6 @@ _add(GraphSpec("HPL", "other", True,
     "Barabasi-Albert power-law + dense core"))
 
 
-DENSE = [k for k, s in SUITE.items() if s.dense]
-SPARSE = [k for k, s in SUITE.items() if not s.dense]
 # Graphs that trigger sampling in the paper's evaluation (Fig. 11).
 SAMPLING_GRAPHS = ["TW", "EH", "SD", "CW", "HL14", "HL12", "HPL", "HCNS"]
 # The 14 representative graphs of Fig. 2 / Fig. 7-8.

@@ -1,7 +1,8 @@
 """Simulated-multicore execution of the paper's peeling algorithms.
 
 One entry point, ``run_kcore(g, algo, machine)``, executes the peeling
-process described by an :class:`AlgoConfig` on a CSR graph:
+process described by an :class:`AlgoConfig` on a CSR graph, in full or
+stopped before round k' (``stop_at_k``: the maximum k'-core subgraph):
 
 - **online** peeling (Alg. 3; ParK/PKC/ours): degree decrements are
   applied immediately; per-subround per-location concurrent-update
@@ -83,21 +84,29 @@ def run_kcore(
     g: CSR,
     algo: AlgoConfig,
     machine: MachineConfig | None = None,
+    *,
+    stop_at_k: int | None = None,
 ) -> tuple[np.ndarray, RunMetrics]:
     """Run one peeling algorithm; return (coreness, metrics).
 
+    With ``stop_at_k`` = k', peeling stops before round k' and the
+    coreness is capped at k': ``core >= k'`` is the maximum k'-core
+    (paper Appendix B), and ``metrics.kmax`` is k' when that core is
+    non-empty.
+
     Las Vegas wrapper: if the sampled run fails the coreness fixpoint
     verification (possible only with adversarially small mu), restart
-    without sampling and count the restart.
+    without sampling and count the restart. The check certifies capped
+    coreness too (see ``verify_coreness``).
     """
     machine = machine or MachineConfig()
-    core, metrics = _Engine(g, algo, machine).run()
+    core, metrics = _Engine(g, algo, machine).run(stop_at_k)
     if algo.sampling:
         from repro.seq.bz import verify_coreness
 
         if not verify_coreness(g, core):
             retry = replace(algo, sampling=False)
-            core, metrics = _Engine(g, retry, machine).run()
+            core, metrics = _Engine(g, retry, machine).run(stop_at_k)
             metrics.restarts = 1
             metrics.algo = algo.name
     return core, metrics
@@ -420,7 +429,7 @@ class _Engine:
 
     def run(self, stop_at_k: int | None = None) -> tuple[np.ndarray, RunMetrics]:
         """Peel round by round. With ``stop_at_k``, stop before that
-        round: the unpeeled vertices (state != PEELED) are its k-core."""
+        round and give every unpeeled vertex (its k-core) that coreness."""
         build_cost = self.structure.build(np.arange(self.n, dtype=np.int64), self.deg)
         self._charge_parallel(build_cost, 1)
         if self.algo.sampling:
@@ -462,6 +471,8 @@ class _Engine:
             k += 1
             if k > self.n + 2:  # safety net; cannot happen on valid input
                 raise RuntimeError("peeling failed to terminate")
+        if stop_at_k is not None:
+            self.core[self.state != PEELED] = stop_at_k
         self.met.kmax = int(self.core.max()) if self.n else 0
         self.met.n_sampled = int(self.ever_sampled.sum())
         self.met.t_seq_units = self.met.work * self.mc.t_op

@@ -8,7 +8,7 @@ against the committed ones.
 """
 from __future__ import annotations
 
-from repro.tables import report, table2, table3
+from repro.tables import report
 from repro.tables.artifacts import write
 from repro.tables.session import get_spark
 
@@ -21,15 +21,7 @@ def main() -> None:
         spark.stop()
     for name, df in frames.items():
         print(f"\n== {name}")
-        if name == "table2.csv":
-            print(table2.render(df))
-        elif name == "table3.csv":
-            print("raw simulated seconds:")
-            print(table3.render(df, normalized=False))
-            print("\nnormalized to per-graph best (paper Fig. 13 heatmap):")
-            print(table3.render(df, normalized=True))
-        else:
-            print(df.to_string(index=False))
+        print(df.to_string(index=False))
         print(f"\n[saved {report.RESULTS / name}]")
     print(f"wrote {report.ROOT / 'EXPERIMENTS.md'}")
 

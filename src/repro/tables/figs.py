@@ -7,6 +7,8 @@ from __future__ import annotations
 import pandas as pd
 
 from repro.graphs.suite import load_graph
+from repro.simcpu.configs import OURS
+from repro.simcpu.engine import run_kcore
 from repro.simcpu.machine import MachineConfig
 
 # Each ``fig*_row(g, sub)`` turns graph ``g``'s runner rows (indexed by
@@ -78,7 +80,7 @@ def fig12_subgraph(
     The paper sweeps k in 16..2048 on OK and TW; our analogues have
     proportionally smaller k_max, so the default sweep is scaled to
     4..128. Runs driver-side (few cells, each cheap)."""
-    from repro.core.subgraph import kcore_subgraph, kcore_subgraph_galois
+    from repro.core.subgraph import kcore_subgraph_galois
 
     machine = machine or MachineConfig()
     graphs = graphs or ["OK", "TW"]
@@ -87,7 +89,8 @@ def fig12_subgraph(
     for gname in graphs:
         g = load_graph(gname, scale)
         for k in ks:
-            ours_mask, ours_met = kcore_subgraph(g, k, machine=machine)
+            ours_core, ours_met = run_kcore(g, OURS, machine, stop_at_k=k)
+            ours_mask = ours_core >= k
             gal_mask, gal_met = kcore_subgraph_galois(g, k, machine=machine)
             assert (ours_mask == gal_mask).all()
             rows.append(

@@ -40,20 +40,3 @@ def row(g: str, sub: pd.DataFrame) -> dict:
         out[f"paper_{col}"] = spec.paper.get(col)
     return out
 
-
-def render(df: pd.DataFrame) -> str:
-    """Paper-style text table (simulated seconds)."""
-    lines = [
-        f"{'graph':6s} {'n':>8s} {'m':>9s} {'kmax':>6s} {'rho':>6s} "
-        f"{'seq':>9s} {'par':>9s} {'spd':>6s} {'BZ':>9s} {'Julienne':>9s} "
-        f"{'ParK':>9s} {'PKC':>9s}  best"
-    ]
-    for _, r in df.iterrows():
-        algs = {"ours": r["par"], "julienne": r["julienne"], "park": r["park"], "pkc": r["pkc"]}
-        best = min(algs, key=algs.get)
-        lines.append(
-            f"{r['graph']:6s} {r['n']:8d} {r['m']:9d} {r['kmax']:6d} {r['rho']:6d} "
-            f"{r['seq']:9.4f} {r['par']:9.4f} {r['spd']:6.1f} {r['bz']:9.4f} "
-            f"{r['julienne']:9.4f} {r['park']:9.4f} {r['pkc']:9.4f}  {best}"
-        )
-    return "\n".join(lines)

@@ -49,12 +49,3 @@ def row(g: str, sub: pd.DataFrame) -> dict:
         out[f"norm_{a}"] = out[a] / best if best else float("nan")
     return out
 
-
-def render(df: pd.DataFrame, *, normalized: bool = True) -> str:
-    cols = [f"norm_{a}" for a in COMBOS] if normalized else COMBOS
-    head = f"{'graph':6s} " + " ".join(f"{a:>11s}" for a in COMBOS)
-    lines = [head]
-    for _, r in df.iterrows():
-        vals = " ".join(f"{r[c]:11.3f}" for c in cols)
-        lines.append(f"{r['graph']:6s} {vals}")
-    return "\n".join(lines)

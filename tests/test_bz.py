@@ -1,6 +1,8 @@
 """BZ sequential algorithm and the coreness verifier."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graphs import generators as gen
 from repro.graphs.csr import build_csr, from_edge_list
@@ -93,3 +95,48 @@ def test_verifier_rejects_negative():
     c = coreness(g)
     c[0] = -1
     assert not verify_coreness(g, c)
+
+
+def _h_index_fixpoint(g, core) -> bool:
+    """Reference: h(v) == core(v) at every vertex, with h computed one
+    vertex at a time from its sorted neighbor cores."""
+    if np.any(core < 0):
+        return False
+    for v in range(g.n):
+        nbr = sorted(core[g.adj[g.indptr[v] : g.indptr[v + 1]]], reverse=True)
+        h = max([0] + [i + 1 for i, c in enumerate(nbr) if c >= i + 1])
+        if h != core[v]:
+            return False
+    return True
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 25),
+    edges=st.lists(st.tuples(st.integers(0, 24), st.integers(0, 24)), max_size=120),
+    seed=st.integers(0, 2**16),
+)
+def test_verifier_matches_h_index_reference(n, edges, seed):
+    """The two-count check decides exactly the per-vertex h-index
+    fixpoint, on true, capped, lowered, perturbed and random
+    assignments."""
+    arr = np.array([(a % n, b % n) for a, b in edges], dtype=np.int64).reshape(-1, 2)
+    g = from_edge_list(arr, n=n)
+    rng = np.random.default_rng(seed)
+    core = coreness(g)
+    kmax = int(core.max())
+    perturbed = core.copy()
+    idx = rng.integers(0, n, rng.integers(1, 4))
+    perturbed[idx] = np.maximum(0, perturbed[idx] + rng.choice([-2, -1, 1, 2], len(idx)))
+    # One vertex one below its coreness: only the count of neighbors
+    # above it shows the error.
+    lowered = core.copy()
+    lowered[rng.integers(0, n)] -= 1
+    for a in (
+        core,
+        np.maximum(lowered, 0),
+        np.minimum(core, rng.integers(0, kmax + 2)),
+        perturbed,
+        rng.integers(-1, kmax + 3, n),
+    ):
+        assert verify_coreness(g, a) == _h_index_fixpoint(g, a)

@@ -1,5 +1,7 @@
 """Machine-simulator engine: exact coreness for every algorithm config
 on every mini suite graph, plus metric-shape properties."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -117,24 +119,44 @@ def test_sampling_triggers_on_hub_graph():
     assert met.max_contention < plain.max_contention / 4
 
 
-def test_sampling_recovery_with_adversarial_mu():
-    """Force sampling errors (tiny mu, aggressive threshold): the Las
-    Vegas wrapper must detect and restart without sampling."""
+# Sampling set up to fail (tiny mu, aggressive threshold).
+ADVERSARIAL = AlgoConfig(
+    name="adversarial",
+    sampling=True,
+    sample_c=0.02,  # mu ~ 1: estimates are garbage
+    sample_threshold=5,
+    sample_r=0.9,
+    seed=1,
+)
+
+
+@pytest.fixture(scope="module")
+def hub_and_truth():
     from repro.graphs import generators as gen
 
     g = gen.planted_core(gen.chung_lu(2000, 10, seed=3), 120, 80, seed=3)
-    truth = bz_kcore(g).core
-    bad = AlgoConfig(
-        name="adversarial",
-        sampling=True,
-        sample_c=0.02,  # mu ~ 1: estimates are garbage
-        sample_threshold=5,
-        sample_r=0.9,
-        seed=1,
-    )
-    core, met = run_kcore(g, bad)
+    return g, bz_kcore(g).core
+
+
+def test_sampling_recovery_with_adversarial_mu(hub_and_truth):
+    """Force sampling errors: the Las Vegas wrapper must detect them and
+    restart without sampling."""
+    g, truth = hub_and_truth
+    core, met = run_kcore(g, ADVERSARIAL)
     assert np.array_equal(core, truth)  # correct either way (Las Vegas)
     assert met.restarts == 1  # the sampled run failed verification
+
+
+@pytest.mark.parametrize("kprime", [20, 40])
+def test_stopped_run_recovery_with_adversarial_mu(hub_and_truth, kprime):
+    """A run stopped at k' is certified by the same check, on coreness
+    capped at k': a sampling error below k' forces the restart even when
+    the k'-core membership came out right."""
+    g, truth = hub_and_truth
+    algo = replace(ADVERSARIAL, structure="adaptive", vgc=True)
+    core, met = run_kcore(g, algo, stop_at_k=kprime)
+    assert np.array_equal(core, np.minimum(truth, kprime))
+    assert met.restarts == 1
 
 
 def test_machine_config_scaling():

@@ -7,7 +7,7 @@ import pandas as pd
 import pytest
 
 from repro.simcpu.machine import MachineConfig
-from repro.tables import figs, report, table2, table3
+from repro.tables import figs, report, table3
 from repro.tables.artifacts import ARTIFACTS, build
 from repro.tables.runner import algo_registry, group_cells, run_cells
 
@@ -139,8 +139,6 @@ def test_table2_mini(spark):
     assert set(df.graph) == {"GRID", "TW"}
     row = df[df.graph == "TW"].iloc[0]
     assert row["spd"] > 0 and row["paper_par"] == 2.72
-    text = table2.render(df)
-    assert "GRID" in text and "best" in text
 
 
 def test_table3_mini(spark):
@@ -150,7 +148,6 @@ def test_table3_mini(spark):
     assert min(norms) == 1.0
     # VGC must beat plain on the grid at any scale.
     assert row["vgc"] < row["plain"]
-    assert "plain" in table3.render(df)
 
 
 def test_paper_table3_numbers_cover_suite():
