@@ -7,7 +7,7 @@ the checkout that holds this script. The script runs each measurement
 as a pair, one run on each checkout, and alternates which checkout runs
 first from one pair to the next, so that host load which changes over
 the recording falls on both sides alike. It runs:
-- ``perfbench/run.py --workload W --trace 0``, three pairs for each
+- ``perfbench/run.py --workload W --trace 0``, ten pairs for each
   workload ``BENCHMARK.json`` declares, for its ``run_seconds``;
 - ``perfbench/run.py --workload W --trace 1``, one pair for each
   workload, keeping its per-layer metrics (one traced pass; no median);
@@ -17,10 +17,14 @@ the recording falls on both sides alike. It runs:
   Python process (graph generation included, imports excluded): Fig. 12
   runs on the driver, outside the ``check`` sweep's Spark fan-out.
 
-For each checkout it writes the median of its three runs of each
-number, the samples, the number of usable CPUs and the checkout's git
-SHA to ``BENCH_<label>.json`` in the current directory. The file keeps
-one record per git SHA.
+For each checkout it writes the median of its runs of each number, the
+samples, the number of usable CPUs and the checkout's git SHA to
+``BENCH_<label>.json`` in the current directory. The file keeps one
+record per git SHA. For each workload and end-to-end metric of
+``BENCHMARK.json`` it also writes a ``verdict``: both medians, their
+ratio against the metric's bound, the number of pairs the change wins
+(ties count for neither side) and the interquartile range of the
+parent's runs, from which a no-regression or gain verdict can be read.
 """
 from __future__ import annotations
 
@@ -32,8 +36,11 @@ import subprocess
 import sys
 import time
 
+# Alternating pairs per measurement: a verdict on the benchmark's
+# end-to-end metrics needs ten; the slower whole-table check and Fig. 12
+# are recorded as medians of three.
+PERFBENCH_PAIRS = 10
 RUNS = 3
-PERFBENCH_METRICS = ("wall_s", "setup_s", "peak_rss_mb")
 
 
 def _git(root: pathlib.Path, *args: str) -> str:
@@ -69,15 +76,20 @@ def _run_perfbench(root: pathlib.Path, workload: str, seconds: float, trace: int
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def perfbench(roots: list[pathlib.Path], workload: str, seconds: float) -> dict:
-    """Per root: median end-to-end metrics and failure counts of ``RUNS``
-    runs, and the per-layer metrics of one traced run."""
-    runs = _pairs(roots, RUNS, lambda root: _run_perfbench(root, workload, seconds, 0))
+def perfbench(
+    roots: list[pathlib.Path], workload: str, seconds: float, metrics: list[str]
+) -> dict:
+    """Per root: end-to-end ``metrics`` (median and samples) and failure
+    counts of ``PERFBENCH_PAIRS`` runs, and the per-layer metrics of one
+    traced run."""
+    runs = _pairs(
+        roots, PERFBENCH_PAIRS, lambda root: _run_perfbench(root, workload, seconds, 0)
+    )
     traced = _pairs(roots, 1, lambda root: _run_perfbench(root, workload, seconds, 1))
     out = {}
     for root in roots:
         rs = runs[root]
-        res = {m: _summary([r["metrics"][m]["value"] for r in rs]) for m in PERFBENCH_METRICS}
+        res = {m: _summary([r["metrics"][m]["value"] for r in rs]) for m in metrics}
         res["failed"] = [r["failed"] for r in rs]
         res["attempted"] = [r["attempted"] for r in rs]
         (t,) = traced[root]
@@ -85,6 +97,26 @@ def perfbench(roots: list[pathlib.Path], workload: str, seconds: float) -> dict:
         res["per_layer_failed"] = t["failed"]
         out[root] = res
     return out
+
+
+def verdict(parent: dict, change: dict, metric: dict) -> dict:
+    """The pairwise comparison of one end-to-end ``metric`` (an entry of
+    ``BENCHMARK.json``'s ``end_to_end``) between the ``parent``'s and
+    the ``change``'s ``_summary`` of the same alternating pairs."""
+    sign = 1 if metric["better"] == "lower" else -1
+    pairs = list(zip(parent["samples"], change["samples"]))
+    q1, _, q3 = statistics.quantiles(parent["samples"], n=4)
+    return {
+        "better": metric["better"],
+        "bound": metric["bound"],
+        "parent_median": parent["median"],
+        "change_median": change["median"],
+        "ratio": change["median"] / parent["median"],
+        "pairs": len(pairs),
+        "change_wins": sum(sign * (c - p) < 0 for p, c in pairs),
+        "parent_wins": sum(sign * (c - p) > 0 for p, c in pairs),
+        "parent_iqr": q3 - q1,
+    }
 
 
 def _tables_check(root: pathlib.Path) -> float:
@@ -121,8 +153,10 @@ def main(argv: list[str]) -> int:
     label, parent = argv[0], pathlib.Path(argv[1]).resolve()
     roots = [parent, pathlib.Path(__file__).resolve().parent.parent]
     spec = json.loads((roots[1] / "BENCHMARK.json").read_text())
+    metrics = spec["end_to_end"]
     benches = {
-        w["name"]: perfbench(roots, w["name"], spec["run_seconds"]) for w in spec["workloads"]
+        w["name"]: perfbench(roots, w["name"], spec["run_seconds"], [m["name"] for m in metrics])
+        for w in spec["workloads"]
     }
     checks = _pairs(roots, RUNS, _tables_check)
     fig12 = _pairs(roots, RUNS, _fig12)
@@ -134,13 +168,20 @@ def main(argv: list[str]) -> int:
             # False when src/ or perfbench/ differ from the recorded SHA.
             "clean": _git(root, "status", "--porcelain", "--", "src", "perfbench") == "",
             "nproc": len(os.sched_getaffinity(0)),
-            "runs": RUNS,
+            "runs": {"perfbench": PERFBENCH_PAIRS, "tables_check": RUNS, "fig12": RUNS},
             "perfbench": {name: res[root] for name, res in benches.items()},
             "tables_check_s": _summary(checks[root]),
             "fig12_s": _summary(fig12[root]),
         }
         records = [r for r in records if r["git_sha"] != record["git_sha"]] + [record]
-    path.write_text(json.dumps({"label": label, "records": records}, indent=2) + "\n")
+    verdicts = {
+        name: {m["name"]: verdict(res[roots[0]][m["name"]], res[roots[1]][m["name"]], m)
+               for m in metrics}
+        for name, res in benches.items()
+    }
+    path.write_text(
+        json.dumps({"label": label, "records": records, "verdict": verdicts}, indent=2) + "\n"
+    )
     print(f"wrote {path}")
     return 0
 

@@ -12,7 +12,7 @@ Alg. 2 in Catalyst terms, done as one SQL statement with one shuffle:
 The active set is the rows with ``core == -1``; the per-round
 refinement (line 9 of Alg. 1) is the frontier filter itself. The one
 initial ``GROUP BY src`` builds the state from the edges; nothing reads
-the edges after it. ``drive`` checkpoints each step's output with
+the edges after it. ``observed`` checkpoints each step's output with
 ``localCheckpoint()`` and reads the probe from that job through an
 observed aggregate: the minimum degree of the active vertices, and so
 whether the frontier at k is empty. When it is, the round ends and the
@@ -31,9 +31,9 @@ still peeled in the correct round. Frontiers are drawn from the pool.
 The column keeps the bucket structure's semantics and its rebuild
 count; it saves no scan, since every step rewrites the whole state.
 
-The same round/subround driver (``drive``) runs the sampling program
-(``core/sampling.py``) and the k'-core subgraph fixpoint
-(``core/subgraph.py``), each with its own peel step. Returns exact
+``drive``, the one round/subround loop of ``core/``, also runs the
+sampling program, the k'-core subgraph fixpoint and dataflow VGC, whose
+barrier reads numpy arrays in no Spark job. Returns exact
 coreness; every subround is two Spark jobs, so use test-scale graphs
 (the machine simulator covers benchmark scale).
 """
@@ -71,45 +71,47 @@ class DataflowStats:
 class PeelStep:
     """What a program plugs into ``drive``.
 
-    ``peel(state, k, probe)`` runs one subround on a checkpointed state
-    and returns the next one, not yet materialized. Over active rows,
-    ``next_k`` is a lower bound on the first round that can peel or
-    validate the row, and ``frontier_deg`` the degree at which the row
-    joins a frontier (null while it cannot). The probe is the tuple (min
-    next_k, min frontier_deg, *``extra`` aggregates); ``settle(state, k,
-    probe)``, called before each subround and at the round's end, may
-    return a new state (the driver checkpoints and probes it), or None.
+    ``barrier(state)`` materializes a state and returns it with its
+    probe (least next_k, least frontier_deg, *extras) over active rows:
+    ``next_k`` bounds the first round that can peel or validate the
+    row, and ``frontier_deg`` is the degree at which it joins a frontier
+    (None while it cannot). ``peel(state, k, probe)`` runs one subround
+    and returns the next state; ``settle(state, k, probe)``, called
+    before each subround and at the round's end, may return a new state
+    (the driver passes it through the barrier), or None.
     """
 
-    peel: Callable[[DataFrame, int, tuple], DataFrame]
-    next_k: str
-    frontier_deg: str
-    extra: tuple[str, ...] = ()
-    settle: Callable[[DataFrame, int, tuple], DataFrame | None] | None = None
+    peel: Callable[[object, int, tuple], object]
+    barrier: Callable[[object], tuple[object, tuple]]
+    settle: Callable[[object, int, tuple], object | None] | None = None
 
 
-def drive(state: DataFrame, step: PeelStep, stats) -> tuple[DataFrame, tuple]:
-    """The round/subround loop of Alg. 1 over an initial ``state`` with
-    columns id, deg, core (-1 while active), ...; records rounds and
-    subrounds in ``stats`` and returns the final state, checkpointed,
-    and its probe. Every state is checkpointed by one Spark job, which
-    also computes its probe as observed metrics."""
+def observed(next_k: str, frontier_deg: str, *extra: str) -> Callable:
+    """A SQL program's barrier: one Spark job checkpoints the state and
+    computes its probe from SQL expressions as observed metrics."""
     probes = [
         F.expr(f"{e} AS p{i}")
         for i, e in enumerate((
-            f"min(CASE WHEN {ACTIVE} THEN {step.next_k} END)",
-            f"min(CASE WHEN {ACTIVE} THEN {step.frontier_deg} END)",
-            *step.extra,
+            f"min(CASE WHEN {ACTIVE} THEN {next_k} END)",
+            f"min(CASE WHEN {ACTIVE} THEN {frontier_deg} END)",
+            *extra,
         ))
     ]
 
-    def checkpoint(df: DataFrame) -> tuple[DataFrame, tuple]:
+    def barrier(df: DataFrame) -> tuple[DataFrame, tuple]:
         obs = Observation()
         df = df.observe(obs, *probes).localCheckpoint()
         metrics = obs.get
         return df, tuple(metrics[f"p{i}"] for i in range(len(probes)))
 
-    state, row = checkpoint(state)
+    return barrier
+
+
+def drive(state, step: PeelStep, stats) -> tuple[object, tuple]:
+    """The round/subround loop of Alg. 1 over an initial ``state``;
+    records rounds and subrounds in ``stats`` and returns the final
+    state, materialized, and its probe."""
+    state, row = step.barrier(state)
     k = -1
     while row[0] is not None:
         k = max(k + 1, row[0])
@@ -125,7 +127,7 @@ def drive(state: DataFrame, step: PeelStep, stats) -> tuple[DataFrame, tuple]:
                 if stats.subrounds + sub > MAX_SUBROUNDS:
                     raise RuntimeError("dataflow peeling exceeded iteration budget")
                 state = step.peel(state, k, row)
-            state, row = checkpoint(state)
+            state, row = step.barrier(state)
         stats.rounds += 1
         stats.subrounds += sub
         stats.subrounds_per_round.append(sub)
@@ -189,5 +191,5 @@ def kcore_dataflow(
             state=state,
         )
 
-    state, _ = drive(state, PeelStep(peel, "deg", "deg"), stats)
+    state, _ = drive(state, PeelStep(peel, observed("deg", "deg")), stats)
     return state.selectExpr("id", "core AS coreness"), stats

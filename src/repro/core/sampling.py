@@ -21,9 +21,10 @@ one-shuffle histogram as the framework. Between subrounds, vertices
 with cnt >= mu are resampled, and each round ends with Validate, whose
 resampled vertices may extend the round. Resampling recounts the true
 induced degree from the adjacency lists of the active set (Alg. 5's
-Resample). A subround or a resample is one SQL statement and 2 Spark
-jobs, and a call 2 more; the closing max(mx) is one more aggregate of
-the last probe, not a job of its own.
+Resample). mu, the threshold and Validate are the engine's
+(``simcpu.engine.sampler`` and ``validated``). A subround or a resample
+is one SQL statement and 2 Spark jobs, and a call 2 more; the closing
+max(mx) is one more aggregate of the last probe, not a job of its own.
 
 Rounds are skipped as in the framework, but a jump must not pass a
 sampled vertex's Validate point: for it the next round is bounded by
@@ -40,19 +41,20 @@ asserted against BZ in tests (the whp argument of Thm. 4.2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-import math
 
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.core.framework import ACTIVE, DataflowStats, PeelStep, drive, union_messages
+from repro.core.framework import ACTIVE, DataflowStats, PeelStep, drive, observed, union_messages
 from repro.graphs.spark_graph import ADJACENCY
+from repro.simcpu.configs import REGISTRY
+from repro.simcpu.engine import AlgoConfig, sampler, validated
 
 
 @dataclass
 class SamplingDataflowStats(DataflowStats):
     resamples: int = 0
     max_dst_messages: int = 0  # max rows per destination in one subround
-    mu: int = 0  # samples per resample epoch: 4 * sample_c * ln n
+    mu: int = 0  # samples per resample epoch (``engine.sampler``)
 
 
 # The state columns a step carries through its shuffle.
@@ -80,27 +82,23 @@ def kcore_dataflow_sampling(
     edges: DataFrame,
     *,
     n: int,
-    sample_c: float = 2.5,
-    sample_r: float = 0.1,
-    threshold: int = 0,
-    seed: int = 42,
-    enable: bool = True,
+    algo: AlgoConfig = REGISTRY["sample"],
 ) -> tuple[DataFrame, SamplingDataflowStats]:
     """k-core with the sampling scheme over DataFrame ops.
 
     ``n`` is the number of vertices, isolated ones included, as in the
-    CSR the edges came from; it sets mu, as in the engine.
-    ``enable=False`` runs the identical loop without sampling, for the
-    skew comparison. Returns ((id, coreness), stats).
+    CSR the edges came from; with ``algo`` it sets the sampler, as in
+    the engine. A config with sampling off, such as ``REGISTRY["plain"]``,
+    runs the identical loop without sampling, for the skew comparison.
+    Returns ((id, coreness), stats).
     """
-    mu = math.ceil(4 * sample_c * math.log(max(n, 2)))
-    threshold = threshold or max(64, 2 * mu)
-    r = _double(sample_r)
+    mu, threshold = sampler(algo, n)
+    r = _double(algo.sample_r)
     rows = (
         "SELECT id, deg, -1 AS core, false AS smode, 0.0D AS rate, 0 AS cnt,"
-        f" CAST(0 AS BIGINT) AS mx, nbrs, {enable} AS reset FROM ({ADJACENCY})"
+        f" CAST(0 AS BIGINT) AS mx, nbrs, {algo.sampling} AS reset FROM ({ADJACENCY})"
     )
-    state = spark.sql(_set_sampler(rows, 0, mu, sample_r, threshold), edges=edges)
+    state = spark.sql(_set_sampler(rows, 0, mu, algo.sample_r, threshold), edges=edges)
     stats = SamplingDataflowStats(mu=mu)
     subround_id = 0
 
@@ -115,7 +113,7 @@ def kcore_dataflow_sampling(
             # sampled (id, rate) pairs come from the probe, as a map
             # literal.
             rates = ", ".join(f"{v.id}L, {_double(v.rate)}" for v in probe[2])
-            coin = f"pmod(xxhash64(src, dst, {subround_id}, {seed}), 1000000) / 1000000D"
+            coin = f"pmod(xxhash64(src, dst, {subround_id}, {algo.seed}), 1000000) / 1000000D"
             keep = f"coalesce({coin} < try_element_at(map({rates}), dst), true)"
         grouped = union_messages([*CARRIED, f"{f} AS f"], f, keep=keep)
         return spark.sql(
@@ -145,17 +143,15 @@ def kcore_dataflow_sampling(
             # Python's float arithmetic here is Spark's double's.
             ids = [
                 v.id for v in probe[2]
-                if not (v.deg * sample_r > k and v.cnt < v.rate * (v.deg - k) / 4.0)
+                if not validated(v.deg, v.cnt, v.rate, k, algo.sample_r)
             ]
         if not ids:
             return None
         stats.resamples += len(ids)
-        return _resample(state, ids, k, mu, sample_r, threshold)
+        return _resample(state, ids, k, mu, algo.sample_r, threshold)
 
-    step = PeelStep(
-        peel, f"IF(smode, {validate_k}, deg)", "IF(smode, NULL, deg)", extra, settle
-    )
-    state, probe = drive(state, step, stats)
+    barrier = observed(f"IF(smode, {validate_k}, deg)", "IF(smode, NULL, deg)", *extra)
+    state, probe = drive(state, PeelStep(peel, barrier, settle), stats)
     stats.max_dst_messages = int(probe[3] or 0)
     return state.selectExpr("id", "core AS coreness"), stats
 

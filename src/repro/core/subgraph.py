@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.core.framework import ACTIVE, DataflowStats, PeelStep, drive, union_messages
+from repro.core.framework import ACTIVE, DataflowStats, PeelStep, drive, observed, union_messages
 from repro.graphs.csr import CSR
 from repro.graphs.spark_graph import ADJACENCY
 from repro.simcpu.configs import REGISTRY
@@ -81,6 +81,6 @@ def kcore_subgraph_dataflow(
             state=state,
         )
 
-    step = PeelStep(peel, f"IF(deg < {kprime}, {kprime - 1}, NULL)", "deg")
+    step = PeelStep(peel, observed(f"IF(deg < {kprime}, {kprime - 1}, NULL)", "deg"))
     state, _ = drive(state, step, stats)
     return state.where(ACTIVE).select("id"), stats

@@ -80,6 +80,19 @@ class AlgoConfig:
     seed: int = 42
 
 
+def sampler(algo: AlgoConfig, n: int) -> tuple[int, int]:
+    """Alg. 5's (mu, samples per resample epoch; threshold, the degree
+    a vertex must exceed to sample) on an n-vertex graph."""
+    mu = math.ceil(4 * algo.sample_c * math.log(max(n, 2)))
+    return mu, algo.sample_threshold or max(64, 2 * mu)
+
+
+def validated(deg, cnt, rate, k: int, r: float):
+    """Alg. 5 Validate: whether a sampled vertex (stale degree, count,
+    rate) stays sampled at the end of round k; scalars or arrays."""
+    return (deg * r > k) & (cnt < rate * (deg - k) / 4.0)
+
+
 def run_kcore(
     g: CSR,
     algo: AlgoConfig,
@@ -128,8 +141,7 @@ class _Engine:
         self.rng = np.random.default_rng(algo.seed)
         self.structure = make_structure(algo.structure, self.n)
         # Sampling state (Alg. 5's sampler struct, vectorized).
-        self.mu = math.ceil(4 * algo.sample_c * math.log(max(self.n, 2)))
-        self.threshold = algo.sample_threshold or max(64, 2 * self.mu)
+        self.mu, self.threshold = sampler(algo, self.n)
         self.smode = np.zeros(self.n, dtype=bool)
         self.srate = np.zeros(self.n, dtype=np.float64)
         self.scnt = np.zeros(self.n, dtype=np.int64)
@@ -207,10 +219,7 @@ class _Engine:
         if len(sm) == 0:
             return sm
         self.met.validations += len(sm)
-        r = self.algo.sample_r
-        ok = (self.deg[sm] * r > k) & (
-            self.scnt[sm] < self.srate[sm] * (self.deg[sm] - k) / 4.0
-        )
+        ok = validated(self.deg[sm], self.scnt[sm], self.srate[sm], k, self.algo.sample_r)
         # Validation piggybacks on the frontier-extraction pass: charge
         # its work but no extra global sync.
         self._charge_parallel(float(len(sm)), 0)

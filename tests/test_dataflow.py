@@ -12,6 +12,8 @@ benchmark-scale behaviour is covered by the machine simulator.
 ``PINNED`` and ``SAMPLING_PINNED`` fix the execution structure (rounds,
 subrounds per round, pool rebuilds, resamples, skew) of each call, so a
 change of the schedule fails even where the coreness stays exact."""
+from dataclasses import replace
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -21,6 +23,7 @@ from repro.graphs.csr import build_csr, edge_array
 from repro.graphs.spark_graph import edges_to_df
 from repro.oracle import assert_equivalent
 from repro.seq.bz import bz_kcore
+from repro.simcpu.configs import REGISTRY
 
 
 def _expected_df(g):
@@ -199,18 +202,20 @@ VGC_CASES = {
     # name: (graph, n_blocks, subrounds_per_round or None)
     "mesh": (GRAPHS["mesh"], 4, None),
     "hcns": (GRAPHS["hcns"], 4, None),
-    "grid": (lambda: gen.grid_2d(16, 16), 4, [0, 0, 8]),
+    "gaps": (_gaps, 4, [1, 1]),
+    "grid": (lambda: gen.grid_2d(16, 16), 4, [8]),
     # One block: in round 1 the cascade from each end stops at the local
     # queue cap (VGC_QUEUE = 128 vertices) before the two meet, so the
     # middle 44 vertices take a second subround.
-    "path": (lambda: build_csr(300, np.arange(299), np.arange(1, 300)), 1, [0, 2]),
+    "path": (lambda: build_csr(300, np.arange(299), np.arange(1, 300)), 1, [2]),
 }
 
 
 @pytest.mark.parametrize("name", list(VGC_CASES))
 def test_vgc_dataflow_one_job_per_subround(spark, name):
     """A VGC subround is one Spark job (all blocks' cascades in one task),
-    and rounds with an empty frontier run none."""
+    and empty rounds are skipped: one round per distinct coreness value,
+    and none of them runs a job without peeling."""
     from repro.core.vgc import kcore_dataflow_vgc
 
     mk, n_blocks, per_round = VGC_CASES[name]
@@ -224,6 +229,7 @@ def test_vgc_dataflow_one_job_per_subround(spark, name):
         sc.setJobGroup("", "")
     assert np.array_equal(core, bz_kcore(g).core)
     assert len(sc.statusTracker().getJobIdsForGroup(group)) == stats.subrounds
+    assert stats.rounds == len(np.unique(core))
     if per_round is not None:
         assert stats.subrounds_per_round == per_round
 
@@ -248,9 +254,10 @@ def test_sampling_dataflow_exact_and_reduces_skew(spark):
     g = _hub_graph()
     expected = _expected_df(g)
     edges = edges_to_df(spark, g)
-    res_s, st_s = kcore_dataflow_sampling(spark, edges, n=g.n, enable=True, seed=3)
+    sample = replace(REGISTRY["sample"], seed=3)
+    res_s, st_s = kcore_dataflow_sampling(spark, edges, n=g.n, algo=sample)
     assert_equivalent(res_s, "SELECT id, coreness FROM expected", expected=expected)
-    res_p, st_p = kcore_dataflow_sampling(spark, edges, n=g.n, enable=False)
+    res_p, st_p = kcore_dataflow_sampling(spark, edges, n=g.n, algo=REGISTRY["plain"])
     assert_equivalent(res_p, "SELECT id, coreness FROM expected", expected=expected)
     assert st_s.resamples > 0
     # The dataflow contention analogue: hot-key rows in the histogram
@@ -264,16 +271,14 @@ def test_sampling_dataflow_counts_isolated_vertices(spark):
     """The hub graph plus 600 isolated vertices: mu comes from all 1012
     vertices, as in the engine, and the coreness stays exact."""
     from repro.core.sampling import kcore_dataflow_sampling
-    from repro.simcpu.configs import REGISTRY
-    from repro.simcpu.engine import _Engine
-    from repro.simcpu.machine import MachineConfig
+    from repro.simcpu.engine import sampler
 
     hub = _hub_graph()
     e = edge_array(hub)
     g = build_csr(hub.n + 600, e[:, 0], e[:, 1])
     res, st = kcore_dataflow_sampling(spark, edges_to_df(spark, g), n=g.n)
     assert_equivalent(res, "SELECT id, coreness FROM expected", expected=_expected_df(g))
-    assert st.mu == _Engine(g, REGISTRY["sample"], MachineConfig()).mu
+    assert st.mu == sampler(REGISTRY["sample"], g.n)[0]
     assert st.resamples > 0
 
 
@@ -302,9 +307,8 @@ def test_sampling_dataflow_round_jumps_stay_exact(spark, graph_and_truth):
     from repro.core.sampling import kcore_dataflow_sampling
 
     g, expected = graph_and_truth["social"]
-    res, st = kcore_dataflow_sampling(
-        spark, edges_to_df(spark, g), n=g.n, threshold=8
-    )
+    algo = replace(REGISTRY["sample"], sample_threshold=8)
+    res, st = kcore_dataflow_sampling(spark, edges_to_df(spark, g), n=g.n, algo=algo)
     assert_equivalent(res, "SELECT id, coreness FROM expected", expected=expected)
     assert st.resamples > 0
     assert st == SAMPLING_PINNED["social-t8"]

@@ -5,10 +5,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graphs import generators as gen
 from repro.seq.bz import bz_kcore
-from repro.simcpu.engine import AlgoConfig, MachineConfig, _Engine, run_kcore
+from repro.simcpu.engine import AlgoConfig, MachineConfig, _Engine, run_kcore, validated
 from repro.simcpu.configs import REGISTRY
 
 
@@ -64,6 +66,29 @@ def test_validate_fails_when_k_approaches():
     k = int(g.degrees()[v] * 0.1) + 1
     joins = eng._validate(k)
     assert not eng.smode[v] or eng.deg[v] * 0.1 > k
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(0, 10**6),
+            st.integers(0, 10**4),
+            st.floats(1e-6, 2.0),
+        ),
+        min_size=1,
+        max_size=50,
+    ),
+    st.integers(0, 10**5),
+    st.floats(0.01, 0.99),
+)
+def test_validated_scalars_match_arrays(vertices, k, r):
+    """The dataflow program validates one Spark row at a time on Python
+    ints and floats, the engine a whole array at once: both must take
+    the same decision for every sampled vertex."""
+    deg, cnt, rate = (np.array(c) for c in zip(*vertices))
+    on_arrays = validated(deg, cnt, rate, k, r)
+    assert on_arrays.tolist() == [validated(d, c, t, k, r) for d, c, t in vertices]
 
 
 def test_chernoff_estimate_quality():
