@@ -214,8 +214,8 @@ VGC_CASES = {
 @pytest.mark.parametrize("name", list(VGC_CASES))
 def test_vgc_dataflow_one_job_per_subround(spark, name):
     """A VGC subround is one Spark job (all blocks' cascades in one task),
-    and empty rounds are skipped: one round per distinct coreness value,
-    and none of them runs a job without peeling."""
+    and empty rounds are skipped: one round per distinct coreness
+    value."""
     from repro.core.vgc import kcore_dataflow_vgc
 
     mk, n_blocks, per_round = VGC_CASES[name]
