@@ -4,8 +4,9 @@ hashes at mini scale.
 The simulated seconds in ``results/`` are the reproduction's outputs,
 so a host-side speedup of the engine, BZ or graph construction must not
 move them. These values were recorded before the local-search, BZ and
-``build_csr`` kernels were rewritten; any later rewrite that shifts the
-model (a different RNG draw order, a different chaining prefix, a
+``build_csr`` kernels were rewritten, and the batch-path configs
+before the engine's two subround bodies were merged into one; any
+later rewrite that shifts the model (a different RNG draw order, a different chaining prefix, a
 different edge order) fails here with the first differing field.
 """
 import hashlib
@@ -62,6 +63,63 @@ METRICS = {
         {'scanned': 8400, 'moves': 0, 'redistributed': 0, 'stale_filtered': 0}),
     ('CH5', 'ours-vgc-f16'): (1481.2083333333333, 150358.6875, 13184.0, 2, 276, 11, 0,
         {'scanned': 1689, 'moves': 711, 'redistributed': 0, 'stale_filtered': 0}),
+    # Batch (inner-parallel) subrounds only: no VGC or PKC chains.
+    ('GRID', 'plain'): (3831.125, 495448.0, 7980.0, 29, 0, 2, 0,
+        {'scanned': 3600, 'moves': 0, 'redistributed': 0, 'stale_filtered': 0}),
+    ('GRID', 'julienne'): (9236.874999999998, 1365000.0, 14932.0, 29, 0, 0, 0,
+        {'scanned': 904, 'moves': 896, 'redistributed': 0, 'stale_filtered': 0}),
+    ('GRID', 'park'): (3821.75, 495448.0, 7080.0, 29, 0, 2, 0,
+        {'scanned': 2700, 'moves': 0, 'redistributed': 0, 'stale_filtered': 0}),
+    ('GRID', 'sample'): (3940.5, 510448.0, 8880.0, 29, 0, 2, 0,
+        {'scanned': 3600, 'moves': 0, 'redistributed': 0, 'stale_filtered': 0}),
+    ('GRID', 'hbs'): (3831.125, 495448.0, 7980.0, 29, 0, 2, 0,
+        {'scanned': 3600, 'moves': 0, 'redistributed': 0, 'stale_filtered': 0}),
+    ('GRID', 'sample+hbs'): (3940.5, 510448.0, 8880.0, 29, 0, 2, 0,
+        {'scanned': 3600, 'moves': 0, 'redistributed': 0, 'stale_filtered': 0}),
+    ('GRID', 'ours-novgc-f16'): (3912.4166666666665, 510448.0, 7976.0, 29, 0, 2, 0,
+        {'scanned': 904, 'moves': 896, 'redistributed': 0, 'stale_filtered': 0}),
+    ('TW', 'plain'): (21901.86458333333, 1779584.0, 49715.0, 88, 0, 53, 0,
+        {'scanned': 20005, 'moves': 0, 'redistributed': 0, 'stale_filtered': 0}),
+    ('TW', 'julienne'): (30400.604166666675, 4410000.0, 99384.0, 88, 0, 0, 0,
+        {'scanned': 6179, 'moves': 1663, 'redistributed': 0, 'stale_filtered': 1185}),
+    ('TW', 'park'): (22448.6875, 1779584.0, 102210.0, 88, 0, 53, 0,
+        {'scanned': 72500, 'moves': 0, 'redistributed': 0, 'stale_filtered': 0}),
+    ('TW', 'sample'): (17481.22916666666, 1789896.0, 65782.0, 88, 0, 21, 49,
+        {'scanned': 20005, 'moves': 0, 'redistributed': 0, 'stale_filtered': 0}),
+    ('TW', 'hbs'): (21901.79166666666, 1779584.0, 50710.0, 88, 0, 53, 0,
+        {'scanned': 17788, 'moves': 501, 'redistributed': 171, 'stale_filtered': 239}),
+    ('TW', 'sample+hbs'): (17481.156249999996, 1789896.0, 66777.0, 88, 0, 21, 49,
+        {'scanned': 17788, 'moves': 501, 'redistributed': 171, 'stale_filtered': 239}),
+    ('TW', 'ours-novgc-f16'): (17337.20833333333, 1789896.0, 55282.0, 88, 0, 21, 49,
+        {'scanned': 6179, 'moves': 1663, 'redistributed': 0, 'stale_filtered': 1185}),
+    ('HCNS', 'plain'): (17702.75, 2431264.0, 22920.0, 80, 0, 80, 0,
+        {'scanned': 9960, 'moves': 0, 'redistributed': 0, 'stale_filtered': 0}),
+    ('HCNS', 'julienne'): (32643.802083333365, 4830000.0, 42605.0, 80, 0, 0, 0,
+        {'scanned': 885, 'moves': 0, 'redistributed': 0, 'stale_filtered': 0}),
+    ('HCNS', 'park'): (17733.99999999998, 2431264.0, 25920.0, 80, 0, 80, 0,
+        {'scanned': 12960, 'moves': 0, 'redistributed': 0, 'stale_filtered': 0}),
+    ('HCNS', 'sample'): (17916.645833333332, 2446264.0, 33854.0, 80, 0, 80, 81,
+        {'scanned': 9960, 'moves': 0, 'redistributed': 0, 'stale_filtered': 0}),
+    ('HCNS', 'hbs'): (17690.30208333335, 2431264.0, 21921.0, 80, 0, 80, 0,
+        {'scanned': 2760, 'moves': 98, 'redistributed': 274, 'stale_filtered': 0}),
+    ('HCNS', 'sample+hbs'): (17904.197916666686, 2446264.0, 32855.0, 80, 0, 80, 81,
+        {'scanned': 2760, 'moves': 98, 'redistributed': 274, 'stale_filtered': 0}),
+    ('HCNS', 'ours-novgc-f16'): (17822.114583333318, 2446264.0, 24779.0, 80, 0, 80, 81,
+        {'scanned': 885, 'moves': 0, 'redistributed': 0, 'stale_filtered': 0}),
+    ('CH5', 'plain'): (1578.8125, 165304.0, 16782.0, 4, 0, 7, 0,
+        {'scanned': 8400, 'moves': 0, 'redistributed': 0, 'stale_filtered': 0}),
+    ('CH5', 'julienne'): (2163.020833333333, 285000.0, 26880.0, 4, 0, 0, 0,
+        {'scanned': 1689, 'moves': 815, 'redistributed': 0, 'stale_filtered': 0}),
+    ('CH5', 'park'): (1566.3125, 165304.0, 15582.0, 4, 0, 7, 0,
+        {'scanned': 7200, 'moves': 0, 'redistributed': 0, 'stale_filtered': 0}),
+    ('CH5', 'sample'): (1691.3125, 180304.0, 17982.0, 4, 0, 7, 0,
+        {'scanned': 8400, 'moves': 0, 'redistributed': 0, 'stale_filtered': 0}),
+    ('CH5', 'hbs'): (1578.8125, 165304.0, 16782.0, 4, 0, 7, 0,
+        {'scanned': 8400, 'moves': 0, 'redistributed': 0, 'stale_filtered': 0}),
+    ('CH5', 'sample+hbs'): (1691.3125, 180304.0, 17982.0, 4, 0, 7, 0,
+        {'scanned': 8400, 'moves': 0, 'redistributed': 0, 'stale_filtered': 0}),
+    ('CH5', 'ours-novgc-f16'): (1621.40625, 180304.0, 12901.0, 4, 0, 7, 0,
+        {'scanned': 1689, 'moves': 815, 'redistributed': 0, 'stale_filtered': 0}),
 }
 BZ = {
     'GRID': (9540, 'a71015f546e59108922cdccc7c853be810eed18717fd2e5c68fd553910123554'),
