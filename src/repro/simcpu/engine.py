@@ -30,11 +30,12 @@ The executions are real (every decrement happens on real arrays; the
 result is exact coreness, asserted against BZ in tests); only the
 conversion of measured events to time uses the machine cost model.
 
-Host-side, batch subrounds are vectorized NumPy, while the local
-searches (VGC and PKC) run as one scalar loop per subround over
-zero-copy ``memoryview``s of the engine arrays: a popped vertex's
-neighbor list is a handful of entries, where per-call NumPy overhead
-would dominate. The loop follows the model's exact order of pops,
+Every subround is one step, ``_Engine._peel``: its batch seeds (all
+seeds without VGC or PKC, the long-list seeds with VGC, none with PKC)
+peel through one vectorized NumPy path, and the rest run the local
+search, one scalar loop per subround over zero-copy ``memoryview``s of
+the engine arrays: a popped vertex's neighbor list is a handful of
+entries, where per-call NumPy overhead would dominate. The loop follows the model's exact order of pops,
 decrements and RNG draws; ``tests/test_golden.py`` pins the resulting
 metrics.
 """
@@ -225,7 +226,7 @@ class _Engine:
         self._charge_parallel(float(len(sm)), 0)
         return self._resample(sm[~ok], k)
 
-    # -- peel variants -------------------------------------------------------
+    # -- subround step -------------------------------------------------------
 
     def _decrement_batch(
         self, targets: np.ndarray, k: int
@@ -267,23 +268,6 @@ class _Engine:
                 cmax = max(cmax, int(hits.max()))
             resample_set = sts[self.scnt[sts] >= self.mu]
         return dropped, dec_ids, cmax, resample_set
-
-    def _peel_batch(self, frontier: np.ndarray, k: int) -> np.ndarray:
-        """Vectorized one-subround peel (online or offline costing)."""
-        targets = gather_neighbors(self.indptr, self.adj, frontier)
-        dropped, dec_ids, cmax, resample_set = self._decrement_batch(targets, k)
-        gathered = float(len(frontier) + len(targets))
-        if self.algo.peel == "offline":
-            hist = self.mc.hist_passes * len(targets) + len(dec_ids)
-            self._charge_parallel(gathered + hist, self.mc.offline_syncs)
-        else:
-            span = self._contention(cmax)
-            self._charge_parallel(gathered, self.mc.online_syncs, span)
-        self.met.work += self.structure.on_decrement(dec_ids, self.deg)
-        if len(resample_set):
-            joins = self._resample(resample_set, k)
-            dropped = np.concatenate([dropped, joins])
-        return dropped
 
     def _local_search(
         self, seeds: list, k: int, qcap: float, work_cap: float
@@ -362,43 +346,36 @@ class _Engine:
             works.append(chain_work)
         return works, popped, dec, spill, full
 
-    def _peel_local(
-        self, frontier: np.ndarray, k: int, *, per_thread: bool
-    ) -> tuple[np.ndarray, int]:
-        """VGC (bounded local searches; high-degree seeds peel through
-        the inner-parallel batch path) or PKC (per_thread=True,
-        unbounded per-thread chains). Returns (next frontier, vertices
-        peeled inside chains)."""
-        next_parts: list = []
-        resample_parts: list = []
-        if per_thread:
+    def _peel(self, frontier: np.ndarray, k: int) -> tuple[np.ndarray, int]:
+        """One subround of Alg. 1: peel the frontier and decrement its
+        neighbors. Returns (next frontier, vertices peeled inside chains).
+
+        Batch seeds decrement their neighbors inner-parallel; local seeds
+        run a local search whose decrements chain (Sec. 4.2). A seed is
+        a batch seed when its list is longer than the chain work cap:
+        with VGC the long-list seeds, with PKC (chains without a cap)
+        none, and without either (a cap of -1) all of them. The
+        subround is then charged by its mode: local chains, offline
+        histogram, or online batch."""
+        algo = self.algo
+        if algo.local_buffer:
             qcap = work_cap = math.inf
-            low, high = frontier, frontier[:0]
-        else:
+        elif algo.vgc:
             qcap, work_cap = VGC_QUEUE, VGC_WORK_CAP
-            alen = self.indptr[frontier + 1] - self.indptr[frontier]
-            low, high = frontier[alen <= work_cap], frontier[alen > work_cap]
-        total_work = 0.0
-        cmax = 0
-        # Batch (inner-parallel) phase for high-degree seeds.
-        if len(high):
-            targets = gather_neighbors(self.indptr, self.adj, high)
-            dropped, dec_ids, bc, resample_set = self._decrement_batch(targets, k)
-            total_work += len(high) + len(targets)
-            cmax = max(cmax, bc)
-            if len(dropped):
-                next_parts.append(dropped)
-            if len(dec_ids):
-                self.met.work += self.structure.on_decrement(dec_ids, self.deg)
-            if len(resample_set):
-                resample_parts.append(resample_set)
-        # Local searches for low-degree seeds.
+        else:
+            qcap = work_cap = -1
+        alen = self.indptr[frontier + 1] - self.indptr[frontier]
+        batch, seeds = frontier[alen > work_cap], frontier[alen <= work_cap]
+        # Batch (inner-parallel) path.
+        targets = gather_neighbors(self.indptr, self.adj, batch)
+        dropped, dec_ids, cmax, resample_set = self._decrement_batch(targets, k)
+        if len(dec_ids):
+            self.met.work += self.structure.on_decrement(dec_ids, self.deg)
+        # Local searches.
         works, popped, dec, spill, full = self._local_search(
-            low.tolist(), k, qcap, work_cap
+            seeds.tolist(), k, qcap, work_cap
         )
-        peeled_inside = len(popped) - len(works)
-        total_work += sum(works)
-        if per_thread:
+        if algo.local_buffer:
             p = self.mc.p
             chain = float(max(sum(works[t::p]) for t in range(p)))
         else:
@@ -409,7 +386,7 @@ class _Engine:
         # vertex (Alg. 3/5); sample modes do not change in a subround.
         if popped:
             touched = gather_neighbors(self.indptr, self.adj, np.array(popped))
-            if self.algo.sampling:
+            if algo.sampling:
                 touched = touched[~self.smode[touched]]
             if len(touched):
                 _, cts = np.unique(touched, return_counts=True)
@@ -417,22 +394,23 @@ class _Engine:
         if dec:
             uts = np.unique(np.array(dec))
             self.met.work += self.structure.on_decrement(uts, self.deg)
-        span = self._contention(cmax) + max(
-            0.0, chain - total_work / self.mc.p
-        )
-        self._charge_parallel(float(total_work + len(frontier)), 1, span)
-        if spill:
-            next_parts.append(np.array(spill))
+        gathered = float(len(batch) + len(targets))
+        if algo.vgc or algo.local_buffer:  # the longest chain is on the span
+            work = gathered + sum(works)
+            span = self._contention(cmax) + max(0.0, chain - work / self.mc.p)
+            self._charge_parallel(work + len(frontier), 1, span)
+        elif algo.peel == "offline":  # Alg. 2: histogram, no contention
+            hist = self.mc.hist_passes * len(targets) + len(dec_ids)
+            self._charge_parallel(gathered + hist, self.mc.offline_syncs)
+        else:  # Alg. 3: atomic decrements
+            span = self._contention(cmax)
+            self._charge_parallel(gathered, self.mc.online_syncs, span)
+        out = [dropped, np.array(spill, dtype=np.int64)]
         if full:
-            resample_parts.append(np.array(full))
-        out = next_parts
-        if resample_parts:
-            joins = self._resample(np.unique(np.concatenate(resample_parts)), k)
-            out = next_parts + [joins]
-        nxt = (
-            np.unique(np.concatenate(out)) if out else np.empty(0, dtype=np.int64)
-        )
-        return nxt, peeled_inside
+            resample_set = np.unique(np.concatenate([resample_set, full]))
+        if len(resample_set):
+            out.append(self._resample(resample_set, k))
+        return np.unique(np.concatenate(out)), len(popped) - len(works)
 
     # -- main loop -----------------------------------------------------------
 
@@ -458,13 +436,8 @@ class _Engine:
                     remaining -= len(frontier)
                     self.met.rho += 1
                     subrounds += 1
-                    if self.algo.local_buffer or self.algo.vgc:
-                        frontier, inside = self._peel_local(
-                            frontier, k, per_thread=self.algo.local_buffer
-                        )
-                        remaining -= inside
-                    else:
-                        frontier = self._peel_batch(frontier, k)
+                    frontier, inside = self._peel(frontier, k)
+                    remaining -= inside
                 if not self.algo.sampling:
                     break
                 # Validate at the END of round k, before k advances: a
