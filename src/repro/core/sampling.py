@@ -68,11 +68,12 @@ def _double(x: float) -> str:
 
 def _set_sampler(rows: str, k: int, mu: int, r: float, threshold: int) -> str:
     """Vectorized SetSampler over the ``rows`` (a SQL query) flagged
-    ``reset``: a query for the new state."""
+    ``reset``: a query for the new state. The rate is clipped at 1, as
+    in the engine."""
     on = f"(reset AND deg * {_double(r)} > {k} AND deg > {threshold})"
     return (
         f"SELECT id, deg, core, IF(reset, {on}, smode) AS smode,"
-        f" IF({on}, {_double(mu)} / ({_double(1.0 - r)} * deg), rate) AS rate,"
+        f" IF({on}, least(1.0D, {_double(mu)} / ({_double(1.0 - r)} * deg)), rate) AS rate,"
         f" IF(reset, 0, cnt) AS cnt, mx, nbrs FROM ({rows})"
     )
 

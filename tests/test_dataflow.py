@@ -312,3 +312,34 @@ def test_sampling_dataflow_round_jumps_stay_exact(spark, graph_and_truth):
     assert_equivalent(res, "SELECT id, coreness FROM expected", expected=expected)
     assert st.resamples > 0
     assert st == SAMPLING_PINNED["social-t8"]
+
+
+def test_sampling_dataflow_sampler_matches_engine(spark, graph_and_truth):
+    """SetSampler's SQL gives every vertex the engine's sampler mode and
+    rate, the rate clipped at 1: at threshold 8 on the social graph an
+    unclipped rate mu / ((1 - r) * deg) would exceed 1 for every sampled
+    vertex."""
+    from repro.core.sampling import _set_sampler
+    from repro.graphs.spark_graph import ADJACENCY
+    from repro.simcpu.engine import _Engine, sampler
+    from repro.simcpu.machine import MachineConfig
+
+    g, _ = graph_and_truth["social"]
+    algo = replace(REGISTRY["sample"], sample_threshold=8)
+    mu, threshold = sampler(algo, g.n)
+    rows = (
+        "SELECT id, deg, -1 AS core, false AS smode, 0.0D AS rate, 0 AS cnt,"
+        f" CAST(0 AS BIGINT) AS mx, nbrs, true AS reset FROM ({ADJACENCY})"
+    )
+    got = (
+        spark.sql(_set_sampler(rows, 0, mu, algo.sample_r, threshold), edges=edges_to_df(spark, g))
+        .select("id", "smode", "rate")
+        .toPandas()
+        .sort_values("id")
+    )
+    eng = _Engine(g, algo, MachineConfig())
+    eng._set_sampler(np.arange(g.n, dtype=np.int64), 0)
+    ids = got["id"].to_numpy()
+    assert got["smode"].any()
+    assert np.array_equal(got["smode"].to_numpy(), eng.smode[ids])
+    assert np.array_equal(got["rate"].to_numpy(), eng.srate[ids])

@@ -120,14 +120,14 @@ def test_sampling_triggers_on_hub_graph():
 
 
 # Sampling set up to fail (tiny mu, aggressive threshold).
-ADVERSARIAL = AlgoConfig(
-    name="adversarial",
-    sampling=True,
+FAILING_SAMPLER = dict(
     sample_c=0.02,  # mu ~ 1: estimates are garbage
     sample_threshold=5,
     sample_r=0.9,
     seed=1,
 )
+ADVERSARIAL = AlgoConfig(name="adversarial", sampling=True, **FAILING_SAMPLER)
+SAMPLING_CONFIGS = sorted({c.name for c in REGISTRY.values() if c.sampling})
 
 
 @pytest.fixture(scope="module")
@@ -138,11 +138,14 @@ def hub_and_truth():
     return g, bz_kcore(g).core
 
 
-def test_sampling_recovery_with_adversarial_mu(hub_and_truth):
-    """Force sampling errors: the Las Vegas wrapper must detect them and
-    restart without sampling."""
+@pytest.mark.parametrize("p", [1, 96])
+@pytest.mark.parametrize("config", SAMPLING_CONFIGS)
+def test_sampling_recovery_with_adversarial_mu(hub_and_truth, config, p):
+    """Force sampling errors on every sampling config: the Las Vegas
+    wrapper must detect them and restart without sampling."""
     g, truth = hub_and_truth
-    core, met = run_kcore(g, ADVERSARIAL)
+    algo = replace(REGISTRY[config], **FAILING_SAMPLER)
+    core, met = run_kcore(g, algo, MachineConfig(p=p))
     assert np.array_equal(core, truth)  # correct either way (Las Vegas)
     assert met.restarts == 1  # the sampled run failed verification
 
