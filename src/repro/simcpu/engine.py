@@ -35,9 +35,9 @@ seeds without VGC or PKC, the long-list seeds with VGC, none with PKC)
 peel through one vectorized NumPy path, and the rest run the local
 search, one scalar loop per subround over zero-copy ``memoryview``s of
 the engine arrays: a popped vertex's neighbor list is a handful of
-entries, where per-call NumPy overhead would dominate. The loop follows the model's exact order of pops,
-decrements and RNG draws; ``tests/test_golden.py`` pins the resulting
-metrics.
+entries, where per-call NumPy overhead would dominate. The loop
+follows the model's exact order of pops, decrements and RNG draws;
+``tests/test_golden.py`` pins the resulting metrics.
 """
 from __future__ import annotations
 
