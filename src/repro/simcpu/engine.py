@@ -351,21 +351,20 @@ class _Engine:
         neighbors. Returns (next frontier, vertices peeled inside chains).
 
         Batch seeds decrement their neighbors inner-parallel; local seeds
-        run a local search whose decrements chain (Sec. 4.2). A seed is
-        a batch seed when its list is longer than the chain work cap:
-        with VGC the long-list seeds, with PKC (chains without a cap)
-        none, and without either (a cap of -1) all of them. The
+        run a local search whose decrements chain (Sec. 4.2). The
         subround is then charged by its mode: local chains, offline
         histogram, or online batch."""
         algo = self.algo
-        if algo.local_buffer:
+        if algo.local_buffer:  # PKC: every seed chains, without a cap
             qcap = work_cap = math.inf
-        elif algo.vgc:
+            batch, seeds = frontier[:0], frontier
+        elif algo.vgc:  # only the short-list seeds chain
             qcap, work_cap = VGC_QUEUE, VGC_WORK_CAP
-        else:
-            qcap = work_cap = -1
-        alen = self.indptr[frontier + 1] - self.indptr[frontier]
-        batch, seeds = frontier[alen > work_cap], frontier[alen <= work_cap]
+            alen = self.indptr[frontier + 1] - self.indptr[frontier]
+            batch, seeds = frontier[alen > work_cap], frontier[alen <= work_cap]
+        else:  # Alg. 1: no seed chains
+            qcap = work_cap = 0
+            batch, seeds = frontier, frontier[:0]
         # Batch (inner-parallel) path.
         targets = gather_neighbors(self.indptr, self.adj, batch)
         dropped, dec_ids, cmax, resample_set = self._decrement_batch(targets, k)
