@@ -1,11 +1,11 @@
 """Differential fuzz of the engine against two independent oracles.
 
-Random simple graphs of at most 40 vertices, and disjoint unions of
-them, run under every registry configuration on a one-core and a
-96-core machine. Each run must return the coreness of BZ and of
+G(n, p) graphs of at most 40 vertices, and disjoint unions of up to
+three of them, run under every registry configuration on a one-core
+and a 96-core machine. Each run must return the coreness of BZ and of
 ``networkx.core_number``. The sampling configurations run a second
 time with a sampler set up to fail (a tiny mu, any degree above 5
-sampled), which exercises the Las Vegas restart on random inputs."""
+sampled), which forces the Las Vegas restart on some inputs."""
 from dataclasses import replace
 
 import networkx as nx
@@ -17,9 +17,9 @@ from repro.graphs.csr import CSR, build_csr, edge_array
 from repro.seq.bz import bz_kcore
 from repro.simcpu import MachineConfig, run_kcore
 from repro.simcpu.configs import REGISTRY
+from tests.test_engine import FAILING_SAMPLER
 
 CONFIGS = sorted(set(REGISTRY.values()), key=lambda c: c.name)
-FAILING_SAMPLER = dict(sample_c=0.02, sample_threshold=5, sample_r=0.9, seed=1)
 MACHINES = [MachineConfig(p=1), MachineConfig(p=96)]
 
 

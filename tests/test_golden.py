@@ -4,10 +4,11 @@ hashes at mini scale.
 The simulated seconds in ``results/`` are the reproduction's outputs,
 so a host-side speedup of the engine, BZ or graph construction must not
 move them. These values were recorded before the local-search, BZ and
-``build_csr`` kernels were rewritten, and the batch-path configs
+``build_csr`` kernels were rewritten, and the batch-path configs'
 before the engine's two subround bodies were merged into one; any
-later rewrite that shifts the model (a different RNG draw order, a different chaining prefix, a
-different edge order) fails here with the first differing field.
+later rewrite that shifts the model (a different RNG draw order, a
+different chaining prefix, a different edge order) fails here with the
+first differing field.
 """
 import hashlib
 
