@@ -52,6 +52,22 @@ def chung_lu(
     below ``avg_deg``). ``max_weight_frac`` caps any single vertex's
     share of the weight mass so hubs are heavy but not degenerate.
     """
+    src, dst = chung_lu_edges(
+        n, avg_deg, exponent, seed=seed, max_weight_frac=max_weight_frac
+    )
+    return _edges_to_csr(n, src, dst)
+
+
+def chung_lu_edges(
+    n: int,
+    avg_deg: float,
+    exponent: float = 2.3,
+    *,
+    seed: int = 0,
+    max_weight_frac: float = 0.05,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The raw (src, dst) draws of ``chung_lu``, loops and duplicates
+    included."""
     rng = _rng(seed)
     gamma = 1.0 / (exponent - 1.0)
     i0 = 2.0
@@ -60,11 +76,31 @@ def chung_lu(
     cdf = np.cumsum(w)
     cdf /= cdf[-1]
     m = int(n * avg_deg / 2)
-    src = np.searchsorted(cdf, rng.random(m))
-    dst = np.searchsorted(cdf, rng.random(m))
+    src = _inverse_cdf(cdf, rng.random(m))
+    dst = _inverse_cdf(cdf, rng.random(m))
     # Shuffle vertex ids so hubs are not contiguous low ids.
     perm = rng.permutation(n)
-    return _edges_to_csr(n, perm[src], perm[dst])
+    return perm[src], perm[dst]
+
+
+def _inverse_cdf(cdf: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(cdf, x)`` for draws x in [0, 1) and a ``cdf``
+    ending at 1, through a guide table (Chen & Asau, 1974).
+
+    ``searchsorted`` bisects the whole ``cdf`` for each random key, a
+    cache miss per step. A table of K = 2^b equal slices of [0, 1)
+    (x * K is exact) narrows each answer to a few entries, which a
+    vectorized bisection then settles."""
+    k = 1 << (2 * len(cdf)).bit_length()
+    table = np.searchsorted(cdf, np.arange(k + 1) / k)
+    j = (x * k).astype(np.int64)
+    lo, hi = table[j], table[j + 1]
+    for _ in range(int((hi - lo).max(initial=0)).bit_length()):
+        mid = (lo + hi) >> 1
+        below = cdf[mid] < x
+        lo = np.where(below, mid + 1, lo)
+        hi = np.where(below, hi, mid)
+    return lo
 
 
 def planted_core(
@@ -76,18 +112,28 @@ def planted_core(
     core's degeneracy), reproducing the very dense cores of web graphs
     (EH/SD/CW/HL*) and HPL relative to plain power-law graphs.
     """
+    from repro.graphs.csr import edge_array
+
+    src, dst = planted_edges(base.n, core_size, core_avg_deg, seed=seed)
+    old = edge_array(base)
+    return _edges_to_csr(
+        base.n, np.concatenate([old[:, 0], src]), np.concatenate([old[:, 1], dst])
+    )
+
+
+def planted_edges(
+    n: int, core_size: int, core_avg_deg: float, *, seed: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (src, dst) edges ``planted_core`` overlays on an n-vertex
+    graph. ``build_csr`` reads only the set of undirected pairs, so
+    building them together with a base graph's raw edges gives
+    ``planted_core`` of that graph in one build."""
     rng = _rng(seed)
-    n = base.n
     members = rng.choice(n, size=core_size, replace=False)
     m_extra = int(core_size * core_avg_deg / 2)
     src = members[rng.integers(0, core_size, m_extra)]
     dst = members[rng.integers(0, core_size, m_extra)]
-    from repro.graphs.csr import edge_array
-
-    old = edge_array(base)
-    return _edges_to_csr(
-        n, np.concatenate([old[:, 0], src]), np.concatenate([old[:, 1], dst])
-    )
+    return src, dst
 
 
 def barabasi_albert(n: int, m0: int, *, seed: int = 0) -> CSR:

@@ -19,8 +19,10 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
 
+import numpy as np
+
 from repro.graphs import generators as gen
-from repro.graphs.csr import CSR
+from repro.graphs.csr import CSR, build_csr
 
 
 @dataclass(frozen=True)
@@ -38,9 +40,14 @@ def _cl(n, avg, exp, seed, frac=0.02):
 
 
 def _cl_core(n, avg, exp, seed, cs, cavg, frac=0.02):
-    return lambda: gen.planted_core(
-        gen.chung_lu(n, avg, exp, seed=seed, max_weight_frac=frac), cs, cavg, seed=seed
-    )
+    """``planted_core(chung_lu(...))``, built from both edge sets at once."""
+
+    def build() -> CSR:
+        src, dst = gen.chung_lu_edges(n, avg, exp, seed=seed, max_weight_frac=frac)
+        psrc, pdst = gen.planted_edges(n, cs, cavg, seed=seed)
+        return build_csr(n, np.concatenate([src, psrc]), np.concatenate([dst, pdst]))
+
+    return build
 
 
 def _road(side, seed):

@@ -37,12 +37,39 @@ def test_chung_lu_heavier_tail_bigger_hub():
     assert d19 > d30
 
 
+@pytest.mark.parametrize("n", [1, 2, 7, 1000, 40_000])
+def test_inverse_cdf_matches_searchsorted(n):
+    """Heavy-tailed weights, some zero (repeated cdf values), and draws
+    that hit cdf values exactly."""
+    rng = np.random.default_rng(n)
+    w = rng.pareto(1.1, n) * (rng.random(n) < 0.8)
+    w[-1] += 1.0
+    cdf = np.cumsum(w)
+    cdf /= cdf[-1]
+    x = np.concatenate([rng.random(20_000), [0.0, np.nextafter(1.0, 0.0)], cdf[:-1]])
+    assert np.array_equal(gen._inverse_cdf(cdf, x), np.searchsorted(cdf, x))
+    assert len(gen._inverse_cdf(cdf, x[:0])) == 0
+
+
 # --------------------------------------------------------- planted core
 def test_planted_core_raises_kmax():
     base = gen.chung_lu(2000, 6, seed=5)
     boosted = gen.planted_core(base, 100, 60, seed=5)
     assert coreness(boosted).max() > coreness(base).max() + 5
     boosted.validate()
+
+
+def test_planted_core_is_one_build_of_both_edge_sets():
+    """``planted_core`` of a ``chung_lu`` graph equals one ``build_csr``
+    of the raw Chung-Lu draws and the planted edges (how the suite
+    builds its web graphs)."""
+    from repro.graphs.csr import build_csr
+
+    two = gen.planted_core(gen.chung_lu(2000, 6, seed=5), 100, 60, seed=5)
+    src, dst = gen.chung_lu_edges(2000, 6, seed=5)
+    psrc, pdst = gen.planted_edges(2000, 100, 60, seed=5)
+    one = build_csr(2000, np.concatenate([src, psrc]), np.concatenate([dst, pdst]))
+    assert np.array_equal(one.indptr, two.indptr) and np.array_equal(one.adj, two.adj)
 
 
 # ------------------------------------------------------------------ BA
