@@ -63,6 +63,7 @@ class HBS(FrontierStructure):
         super().__init__(n)
         self.buckets: list[_Bucket] = []
         self.los = np.empty(0, dtype=np.int64)
+        self.serials = np.empty(0, dtype=np.int64)
         self.vertex_serial = np.full(n, -1, dtype=np.int64)
         self._next_serial = 0
 
@@ -75,6 +76,7 @@ class HBS(FrontierStructure):
 
     def _refresh_los(self) -> None:
         self.los = np.array([b.lo for b in self.buckets], dtype=np.int64)
+        self.serials = np.array([b.serial for b in self.buckets], dtype=np.int64)
 
     def _make_ranges(self, lo: int, hi: int) -> list[_Bucket]:
         out = []
@@ -174,8 +176,7 @@ class HBS(FrontierStructure):
         keys = np.maximum(deg[ids], int(self.los[0]))
         slot = np.searchsorted(self.los, keys, side="right") - 1
         slot = np.clip(slot, 0, len(self.buckets) - 1)
-        serials = np.array([self.buckets[int(j)].serial for j in slot])
-        need = self.vertex_serial[ids] != serials
+        need = self.vertex_serial[ids] != self.serials[slot]
         movers, mslot = ids[need], slot[need]
         for j in np.unique(mslot):
             self._insert(self.buckets[int(j)], movers[mslot == j])
