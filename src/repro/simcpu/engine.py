@@ -38,6 +38,16 @@ the engine arrays: a popped vertex's neighbor list is a handful of
 entries, where per-call NumPy overhead would dominate. The loop
 follows the model's exact order of pops, decrements and RNG draws;
 ``tests/test_golden.py`` pins the resulting metrics.
+
+A bucket structure only manages the frontier (Sec. 5.1's BuildBuckets,
+GetNextBucket, DecreaseKey), so configs that differ only in
+``structure`` peel the same vertices in the same order: they are one
+*class* (``class_key``). ``run_class`` executes a class once and prices
+every member's structure in lock-step: each round every structure
+produces the frontier (a run raises if two disagree), every structure
+gets the same ``on_decrement`` calls, and each member's ``RunMetrics``
+receives the same charges in the same order as a run of that config
+alone, so its floats are the same. ``run_kcore`` is a class of one.
 """
 from __future__ import annotations
 
@@ -94,6 +104,12 @@ def validated(deg, cnt, rate, k: int, r: float):
     return (deg * r > k) & (cnt < rate * (deg - k) / 4.0)
 
 
+def class_key(algo: AlgoConfig) -> AlgoConfig:
+    """The execution ``algo`` runs: configs with equal keys differ only
+    in the structure that prices their frontiers (see ``run_class``)."""
+    return replace(algo, name="", structure="")
+
+
 def run_kcore(
     g: CSR,
     algo: AlgoConfig,
@@ -107,31 +123,50 @@ def run_kcore(
     coreness is capped at k': ``core >= k'`` is the maximum k'-core
     (paper Appendix B), and ``metrics.kmax`` is k' when that core is
     non-empty.
+    """
+    core, (metrics,) = run_class(g, [algo], machine, stop_at_k=stop_at_k)
+    return core, metrics
+
+
+def run_class(
+    g: CSR,
+    algos: list[AlgoConfig],
+    machine: MachineConfig | None = None,
+    *,
+    stop_at_k: int | None = None,
+) -> tuple[np.ndarray, list[RunMetrics]]:
+    """Run configs of one ``class_key`` as one execution; return the
+    shared coreness and each config's metrics, equal to what
+    ``run_kcore`` gives that config alone.
 
     Las Vegas wrapper: if the sampled run fails the coreness fixpoint
     verification (possible only with adversarially small mu), restart
     without sampling and count the restart. The check certifies capped
     coreness too (see ``verify_coreness``).
     """
+    if len({class_key(a) for a in algos}) != 1:
+        raise ValueError(f"not one class: {[a.name for a in algos]}")
     machine = machine or MachineConfig()
-    core, metrics = _Engine(g, algo, machine).run(stop_at_k)
-    if algo.sampling:
+    core, metrics = _Engine(g, algos, machine).run(stop_at_k)
+    if algos[0].sampling:
         from repro.seq.bz import verify_coreness
 
         if not verify_coreness(g, core):
-            retry = replace(algo, sampling=False)
+            retry = [replace(a, sampling=False) for a in algos]
             core, metrics = _Engine(g, retry, machine).run(stop_at_k)
-            metrics.restarts = 1
-            metrics.algo = algo.name
+            for m in metrics:
+                m.restarts = 1
     return core, metrics
 
 
 class _Engine:
-    """Mutable state for a single simulated run."""
+    """Mutable state for one simulated execution, priced by the
+    structure of each of its configs."""
 
-    def __init__(self, g: CSR, algo: AlgoConfig, machine: MachineConfig):
+    def __init__(self, g: CSR, algos: list[AlgoConfig], machine: MachineConfig):
         self.g = g
-        self.algo = algo
+        self.algos = algos
+        self.algo = algo = algos[0]
         self.mc = machine
         self.n = g.n
         self.indptr = g.indptr
@@ -140,7 +175,7 @@ class _Engine:
         self.state = np.zeros(self.n, dtype=np.int8)
         self.core = np.zeros(self.n, dtype=np.int64)
         self.rng = np.random.default_rng(algo.seed)
-        self.structure = make_structure(algo.structure, self.n)
+        self.structures = [make_structure(a.structure, self.n) for a in algos]
         # Sampling state (Alg. 5's sampler struct, vectorized).
         self.mu, self.threshold = sampler(algo, self.n)
         self.smode = np.zeros(self.n, dtype=bool)
@@ -152,17 +187,30 @@ class _Engine:
         # cost per vertex is d + r*d + r^2*d + ... = O(d(v)), the
         # paper's Sec. 4.1.5 bound.
         self.scan_size = self.deg.copy()
-        self.met = RunMetrics(algo=algo.name, n=self.n, m=g.m)
+        # Counters that do not depend on the structure, and per structure
+        # the three sums it prices: [work, t_par_units, bspan_units].
+        self.met = RunMetrics(n=self.n, m=g.m)
+        self.costs = [[0.0, 0.0, 0.0] for _ in algos]
 
     # -- cost helpers -------------------------------------------------------
 
-    def _charge_parallel(self, work: float, syncs: int, span_term: float = 0.0):
-        """One parallel step: work/P + sync cost + critical-path term."""
-        m = self.met
+    def _charge_parallel(
+        self, work: float, syncs: int, span_term: float = 0.0, costs=None
+    ):
+        """One parallel step: work/P + sync cost + critical-path term,
+        charged to every structure (or to ``costs`` alone)."""
         mc = self.mc
-        m.work += work
-        m.t_par_units += work * mc.t_op / mc.p + syncs * mc.omega + span_term
-        m.bspan_units += syncs * mc.omega_span + span_term
+        t_par = work * mc.t_op / mc.p + syncs * mc.omega + span_term
+        bspan = syncs * mc.omega_span + span_term
+        for c in self.costs if costs is None else (costs,):
+            c[0] += work
+            c[1] += t_par
+            c[2] += bspan
+
+    def _on_decrement(self, ids: np.ndarray) -> None:
+        """DecreaseKey on every structure; each charges its own moves."""
+        for s, c in zip(self.structures, self.costs):
+            c[0] += s.on_decrement(ids, self.deg)
 
     def _contention(self, cmax: int) -> float:
         extra = max(0, int(cmax) - 1) * self.mc.t_atomic
@@ -208,7 +256,7 @@ class _Engine:
         self._charge_parallel(float(self.scan_size[ids].sum() + len(ids)), 0)
         self.scan_size[ids] = true_deg
         self._set_sampler(ids, k)
-        self.met.work += self.structure.on_decrement(ids, self.deg)
+        self._on_decrement(ids)
         joins = ids[(self.deg[ids] <= k) & (self.state[ids] == ACTIVE)]
         self.state[joins] = QUEUED
         return joins
@@ -369,11 +417,13 @@ class _Engine:
         targets = gather_neighbors(self.indptr, self.adj, batch)
         dropped, dec_ids, cmax, resample_set = self._decrement_batch(targets, k)
         if len(dec_ids):
-            self.met.work += self.structure.on_decrement(dec_ids, self.deg)
+            self._on_decrement(dec_ids)
         # Local searches.
-        works, popped, dec, spill, full = self._local_search(
-            seeds.tolist(), k, qcap, work_cap
-        )
+        works = popped = dec = spill = full = ()
+        if len(seeds):
+            works, popped, dec, spill, full = self._local_search(
+                seeds.tolist(), k, qcap, work_cap
+            )
         if algo.local_buffer:
             p = self.mc.p
             chain = float(max(sum(works[t::p]) for t in range(p)))
@@ -391,8 +441,7 @@ class _Engine:
                 _, cts = np.unique(touched, return_counts=True)
                 cmax = max(cmax, int(cts.max()))
         if dec:
-            uts = np.unique(np.array(dec))
-            self.met.work += self.structure.on_decrement(uts, self.deg)
+            self._on_decrement(np.unique(np.array(dec)))
         gathered = float(len(batch) + len(targets))
         if algo.vgc or algo.local_buffer:  # the longest chain is on the span
             work = gathered + sum(works)
@@ -413,19 +462,37 @@ class _Engine:
 
     # -- main loop -----------------------------------------------------------
 
-    def run(self, stop_at_k: int | None = None) -> tuple[np.ndarray, RunMetrics]:
-        """Peel round by round. With ``stop_at_k``, stop before that
-        round and give every unpeeled vertex (its k-core) that coreness."""
-        build_cost = self.structure.build(np.arange(self.n, dtype=np.int64), self.deg)
-        self._charge_parallel(build_cost, 1)
+    def _next_frontier(self, k: int) -> np.ndarray:
+        """GetNextBucket on every structure, each charged its own cost;
+        raises unless all return the same frontier."""
+        frontier = None
+        for a, s, c in zip(self.algos, self.structures, self.costs):
+            f, cost = s.next_frontier(k, self.deg, self.state)
+            self._charge_parallel(cost, 1, costs=c)
+            if frontier is None:
+                frontier = f
+            elif not np.array_equal(f, frontier):
+                first = self.algos[0]
+                raise RuntimeError(
+                    f"round {k}: structure {a.structure!r} of {a.name!r} returned "
+                    f"a different frontier from {first.structure!r} of {first.name!r}"
+                )
+        return frontier
+
+    def run(self, stop_at_k: int | None = None) -> tuple[np.ndarray, list[RunMetrics]]:
+        """Peel round by round; return the coreness and one RunMetrics
+        per config. With ``stop_at_k``, stop before that round and give
+        every unpeeled vertex (its k-core) that coreness."""
+        ids = np.arange(self.n, dtype=np.int64)
+        for s, c in zip(self.structures, self.costs):
+            self._charge_parallel(s.build(ids, self.deg), 1, costs=c)
         if self.algo.sampling:
-            self._set_sampler(np.arange(self.n, dtype=np.int64), 0)
+            self._set_sampler(ids, 0)
             self._charge_parallel(float(self.n), 1)
         remaining = self.n
         k = 0
         while remaining > 0 and (stop_at_k is None or k < stop_at_k):
-            frontier, cost = self.structure.next_frontier(k, self.deg, self.state)
-            self._charge_parallel(cost, 1)
+            frontier = self._next_frontier(k)
             self.state[frontier] = QUEUED
             subrounds = 0
             while True:
@@ -456,6 +523,12 @@ class _Engine:
             self.core[self.state != PEELED] = stop_at_k
         self.met.kmax = int(self.core.max()) if self.n else 0
         self.met.n_sampled = int(self.ever_sampled.sum())
-        self.met.t_seq_units = self.met.work * self.mc.t_op
-        self.met.structure = self.structure.counters()
-        return self.core, self.met
+        return self.core, [
+            replace(
+                self.met, algo=a.name, work=work, t_par_units=t_par,
+                bspan_units=bspan, t_seq_units=work * self.mc.t_op,
+                structure=s.counters(),
+                subrounds_per_round=list(self.met.subrounds_per_round),
+            )
+            for a, s, (work, t_par, bspan) in zip(self.algos, self.structures, self.costs)
+        ]

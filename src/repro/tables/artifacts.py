@@ -2,9 +2,10 @@
 
 ``ARTIFACTS`` declares each Spark artifact once: its default graphs, the
 runner names one graph's row reads, and the function that makes that
-row. ``build`` requests the union of their cells in a single
+row. ``sweep`` requests the union of their cells in a single
 ``run_cells`` call, so a configuration that several tables name
-differently is simulated once. Fig. 12 runs driver-side
+differently is simulated once, and ``tabulate`` makes each artifact
+from its rows. Fig. 12 runs driver-side
 (``figs.fig12_subgraph``); ``write`` adds it and renders EXPERIMENTS.md.
 """
 from __future__ import annotations
@@ -45,6 +46,42 @@ ARTIFACTS = {
 }
 
 
+def sweep(
+    spark: SparkSession,
+    names: Iterable[str] = tuple(ARTIFACTS),
+    *,
+    graphs: list[str] | None = None,
+    scale: str = "bench",
+    machine: MachineConfig | None = None,
+) -> pd.DataFrame:
+    """The ``run_cells`` frame of every cell the named artifacts read on
+    ``graphs`` (else each artifact's own), from one call."""
+    cells = dict.fromkeys(
+        (g, a) for name in names for g in graphs or ARTIFACTS[name].graphs
+        for a in ARTIFACTS[name].algos
+    )
+    return run_cells(
+        spark, [{"graph": g, "algo": a, "scale": scale} for g, a in cells], machine
+    )
+
+
+def tabulate(
+    raw: pd.DataFrame,
+    names: Iterable[str] = tuple(ARTIFACTS),
+    *,
+    graphs: list[str] | None = None,
+) -> dict[str, pd.DataFrame]:
+    """Name -> frame for each named artifact, one row per graph, from
+    the rows of ``sweep``."""
+    by_graph = {g: sub.set_index("algo") for g, sub in raw.groupby("graph")}
+    return {
+        name: pd.DataFrame(
+            [ARTIFACTS[name].row(g, by_graph[g]) for g in graphs or ARTIFACTS[name].graphs]
+        )
+        for name in names
+    }
+
+
 def build(
     spark: SparkSession,
     names: Iterable[str] = tuple(ARTIFACTS),
@@ -53,20 +90,10 @@ def build(
     scale: str = "bench",
     machine: MachineConfig | None = None,
 ) -> dict[str, pd.DataFrame]:
-    """Name -> frame for each named artifact, one row per graph
-    (``graphs``, else the artifact's own), from one ``run_cells`` call."""
-    plan = {name: graphs or ARTIFACTS[name].graphs for name in names}
-    cells = dict.fromkeys(
-        (g, a) for name, gs in plan.items() for g in gs for a in ARTIFACTS[name].algos
-    )
-    raw = run_cells(
-        spark, [{"graph": g, "algo": a, "scale": scale} for g, a in cells], machine
-    )
-    by_graph = {g: sub.set_index("algo") for g, sub in raw.groupby("graph")}
-    return {
-        name: pd.DataFrame([ARTIFACTS[name].row(g, by_graph[g]) for g in gs])
-        for name, gs in plan.items()
-    }
+    """``tabulate`` of one ``sweep``."""
+    names = list(names)
+    raw = sweep(spark, names, graphs=graphs, scale=scale, machine=machine)
+    return tabulate(raw, names, graphs=graphs)
 
 
 def write(

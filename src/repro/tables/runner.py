@@ -3,12 +3,19 @@
 A *cell* is one (graph, algorithm, scale) triple. Cells whose names
 bind to the same ``REGISTRY`` configuration on the same graph and scale
 (Table 2's ``ours`` is Table 3's ``vgc+sample+hbs``) are one distinct
-cell, simulated once. The distinct cells are grouped by (graph, scale),
-and each group is one Spark task: it generates its graph (deterministic
-seed) once per sweep, runs the machine simulator on each of its cells in
-request order, and returns one metrics row per cell. The driver gets
-back a pandas frame with one row per requested cell, under the name that
-was requested — the raw material for every table.
+cell. The distinct cells are grouped by (graph, scale), and each group
+is one Spark task: it generates its graph (deterministic seed) once per
+sweep and returns one metrics row per distinct cell, in request order.
+Inside the task, distinct cells whose configs share an engine
+``class_key`` (they differ only in the bucket structure) are one
+execution, ``engine.run_class``; ``bz`` runs first when the group has
+it. Each row certifies and times itself: ``exact`` (its coreness equals
+BZ's, or passes ``verify_coreness`` when the group has no ``bz`` cell),
+``wall_s`` (host seconds of the execution that produced it, shared by
+the members of a class) and ``gen_s`` (host seconds the task spent
+loading its graph). The driver gets back a pandas frame with one row
+per requested cell, under the name that was requested — the raw
+material for every table.
 
 The fan-out runs on the RDD layer, not on DataFrames: it maps opaque
 Python calls, so Catalyst has no plan to optimise, and a session's first
@@ -59,8 +66,8 @@ def run_cells(
     machine: MachineConfig | None = None,
 ) -> pd.DataFrame:
     """Execute cells in parallel, one Spark task per (graph, scale) and
-    each distinct cell once; returns one metrics row per requested cell,
-    in request order."""
+    each class of distinct cells once; returns one metrics row per
+    requested cell, in request order."""
     machine = machine or MachineConfig()
     ids, groups = group_cells(cells)
 
@@ -69,26 +76,60 @@ def run_cells(
         # worker never imports this module and with it pandas and
         # pyspark.sql: a module-level task cost each of 4 workers
         # ~57 MiB and the ``sim`` benchmark sweep ~1 s.
+        import time
+
+        import numpy as np
+
         from repro.graphs.suite import load_graph
-        from repro.seq.bz import bz_kcore
-        from repro.simcpu.engine import run_kcore
+        from repro.seq.bz import bz_kcore, verify_coreness
+        from repro.simcpu.engine import class_key, run_class
         from repro.simcpu.metrics import RunMetrics
 
         (graph, scale), todo = group
-        out = []
+
+        def failed(names, e):
+            where = ", ".join(
+                f"cell (graph={graph!r}, algo={a!r}, scale={scale!r})" for a in names
+            )
+            return RuntimeError(f"{where} failed: {e!r}")
+
+        t0 = time.perf_counter()
+        try:
+            g = load_graph(graph, scale)  # cached: generated once per task
+        except Exception as e:
+            raise failed([a for _, a in todo], e) from e
+        gen_s = time.perf_counter() - t0
+        # One execution per class; bz first, so the others check against it.
+        runs: dict = {}
         for task, algo in todo:
+            key = class_key(REGISTRY[algo]) if algo in REGISTRY else algo
+            runs.setdefault(key, []).append((task, algo))
+        truth = None
+        rows = {}
+        for key in sorted(runs, key=lambda key: key != "bz"):
+            names = [a for _, a in runs[key]]
             try:
-                g = load_graph(graph, scale)  # cached: generated once per task
-                if algo == "bz":
+                t0 = time.perf_counter()
+                if key == "bz":
                     res = bz_kcore(g)
-                    t = res.work * machine.t_op
-                    met = RunMetrics(
-                        kmax=int(res.core.max()), work=res.work,
+                    core, t = res.core, res.work * machine.t_op
+                    mets = [RunMetrics(
+                        kmax=int(core.max()), work=res.work,
                         t_par_units=t, t_seq_units=t,
-                    )
+                    )]
                 else:
-                    _, met = run_kcore(g, REGISTRY[algo], machine)
-                out.append({
+                    core, mets = run_class(g, [REGISTRY[a] for a in names], machine)
+                wall_s = time.perf_counter() - t0
+                if truth is None:
+                    exact = bool(verify_coreness(g, core))
+                else:
+                    exact = bool(np.array_equal(core, truth))
+            except Exception as e:
+                raise failed(names, e) from e
+            if key == "bz":
+                truth = core
+            for (task, algo), met in zip(runs[key], mets):
+                rows[task] = {
                     "task": task,
                     "graph": graph,
                     "algo": algo,
@@ -109,13 +150,11 @@ def run_cells(
                     "resamples": met.resamples,
                     "scanned": met.structure.get("scanned", 0),
                     "moves": met.structure.get("moves", 0),
-                })
-            except Exception as e:
-                raise RuntimeError(
-                    f"cell (graph={graph!r}, algo={algo!r}, scale={scale!r}) "
-                    f"failed: {e!r}"
-                ) from e
-        return out
+                    "exact": exact,
+                    "wall_s": wall_s,
+                    "gen_s": gen_s,
+                }
+        return [rows[task] for task, _ in todo]
 
     rows = (
         spark.sparkContext.parallelize(list(groups.items()), len(groups))

@@ -337,7 +337,7 @@ def test_sampling_dataflow_sampler_matches_engine(spark, graph_and_truth):
         .toPandas()
         .sort_values("id")
     )
-    eng = _Engine(g, algo, MachineConfig())
+    eng = _Engine(g, [algo], MachineConfig())
     eng._set_sampler(np.arange(g.n, dtype=np.int64), 0)
     ids = got["id"].to_numpy()
     assert got["smode"].any()

@@ -1,14 +1,17 @@
 """Machine-simulator engine: exact coreness for every algorithm config
 on every mini suite graph, plus metric-shape properties."""
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+import repro.simcpu.engine as engine
 from repro.graphs.suite import SUITE, load_graph
 from repro.seq.bz import bz_kcore
-from repro.simcpu import AlgoConfig, MachineConfig, run_kcore
+from repro.simcpu import AlgoConfig, MachineConfig, RunMetrics, run_kcore
 from repro.simcpu.configs import REGISTRY
+from repro.simcpu.engine import class_key, run_class
+from repro.tables.runner import run_cells
 
 GRAPHS = list(SUITE)
 OURS, PLAIN, JULIENNE, PARK, PKC = (
@@ -190,3 +193,146 @@ def test_rounds_equal_kmax_plus_one():
     g = load_graph("CUBE", "mini")
     _, met = run_kcore(g, PLAIN)
     assert met.rounds == met.kmax + 1
+
+
+# -- lock-step classes --------------------------------------------------------
+
+
+def _classes() -> list[list[AlgoConfig]]:
+    out: dict = {}
+    for c in dict.fromkeys(REGISTRY.values()):
+        out.setdefault(class_key(c), []).append(c)
+    return list(out.values())
+
+
+CLASSES = _classes()
+LOCKSTEP = [members for members in CLASSES if len(members) > 1]
+
+
+def _ids(members) -> str:
+    return "|".join(a.name for a in members)
+
+
+def assert_same_metrics(got: RunMetrics, want: RunMetrics) -> None:
+    for f in fields(RunMetrics):  # floats too: the same charges, in order
+        assert getattr(got, f.name) == getattr(want, f.name), f.name
+
+
+def test_registry_classes():
+    """13 configurations are 6 executions (see ``class_key``)."""
+    assert len(CLASSES) == 6
+    assert list(map(_ids, CLASSES)) == [
+        "ours|vgc+sample|ours-vgc-f16", "plain|hbs|park", "vgc|vgc+hbs",
+        "sample|sample+hbs|ours-novgc-f16", "julienne", "pkc",
+    ]
+
+
+@pytest.mark.parametrize("p", [1, 96])
+@pytest.mark.parametrize("graph", ["GRID", "TW", "HCNS", "CH5"])
+@pytest.mark.parametrize("members", LOCKSTEP, ids=_ids)
+def test_class_run_equals_solo_runs(members, graph, p):
+    g = load_graph(graph, "mini")
+    machine = MachineConfig(p=p)
+    core, mets = run_class(g, members, machine)
+    assert [m.algo for m in mets] == [a.name for a in members]
+    for algo, met in zip(members, mets):
+        solo_core, solo = run_kcore(g, algo, machine)
+        assert np.array_equal(core, solo_core), algo.name
+        assert_same_metrics(met, solo)
+
+
+@pytest.mark.parametrize("p", [1, 96])
+@pytest.mark.parametrize(
+    "members", [m for m in LOCKSTEP if m[0].sampling], ids=_ids
+)
+def test_class_run_restarts_once(hub_and_truth, members, p):
+    """A failed certificate restarts the whole class once, and each
+    member still equals its own (restarted) solo run."""
+    g, truth = hub_and_truth
+    members = [replace(a, **FAILING_SAMPLER) for a in members]
+    machine = MachineConfig(p=p)
+    core, mets = run_class(g, members, machine)
+    assert np.array_equal(core, truth)
+    for algo, met in zip(members, mets):
+        assert met.restarts == 1
+        assert_same_metrics(met, run_kcore(g, algo, machine)[1])
+
+
+def test_class_run_rejects_configs_of_different_classes():
+    with pytest.raises(ValueError, match="not one class"):
+        run_class(load_graph("GRID", "mini"), [PLAIN, REGISTRY["vgc"]])
+
+
+class _DropsLast:
+    """A structure whose frontier misses its largest vertex."""
+
+    def __init__(self, inner):
+        self._inner = inner
+
+    def next_frontier(self, k, deg, state):
+        f, cost = self._inner.next_frontier(k, deg, state)
+        return f[:-1], cost
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+@pytest.fixture
+def broken_adaptive(monkeypatch):
+    make = engine.make_structure
+
+    def make_structure(name, n):
+        s = make(name, n)
+        return _DropsLast(s) if name == "adaptive" else s
+
+    monkeypatch.setattr(engine, "make_structure", make_structure)
+
+
+def test_class_run_raises_on_a_different_frontier(broken_adaptive):
+    members = [PLAIN, REGISTRY["hbs"], PARK]
+    with pytest.raises(RuntimeError, match="'adaptive' of 'hbs' returned a different"):
+        run_class(load_graph("GRID", "mini"), members)
+
+
+class _LocalSpark:
+    """The slice of a SparkSession ``run_cells`` uses, run in-process."""
+
+    class sparkContext:
+        @staticmethod
+        def parallelize(items, _slices):
+            return _LocalRDD(items)
+
+
+class _LocalRDD:
+    def __init__(self, items):
+        self.items = list(items)
+
+    def flatMap(self, f):
+        return _LocalRDD(y for x in self.items for y in f(x))
+
+    def collect(self):
+        return self.items
+
+
+def test_run_cells_names_the_cells_of_a_failing_class(broken_adaptive):
+    cells = [{"graph": "GRID", "algo": a, "scale": "mini"} for a in ("plain", "hbs")]
+    with pytest.raises(RuntimeError) as err:
+        run_cells(_LocalSpark(), cells)
+    for a in ("plain", "hbs"):
+        assert f"cell (graph='GRID', algo='{a}', scale='mini')" in str(err.value)
+
+
+@pytest.mark.parametrize("with_bz", [True, False])
+def test_run_cells_rows_certify_and_time_themselves(with_bz):
+    """Each row is checked against BZ's coreness (or certified when the
+    group has no ``bz`` cell) and timed; a class shares one execution."""
+    algos = ["ours", "plain", "vgc+sample", "hbs", "pkc"] + ["bz"] * with_bz
+    cells = [{"graph": "TW", "algo": a, "scale": "mini"} for a in algos]
+    df = run_cells(_LocalSpark(), cells).set_index("algo")
+    assert df.exact.all()
+    assert df.loc["ours", "wall_s"] == df.loc["vgc+sample", "wall_s"]
+    assert df.loc["plain", "wall_s"] == df.loc["hbs", "wall_s"]
+    assert (df.wall_s > 0).all() and df.gen_s.nunique() == 1
+    for a in ("ours", "plain", "pkc"):
+        _, met = run_kcore(load_graph("TW", "mini"), REGISTRY[a])
+        assert df.loc[a, "t_par"] == met.t_par_seconds(MachineConfig())

@@ -16,7 +16,7 @@ from repro.simcpu.configs import REGISTRY
 
 def _engine(g, **kw):
     algo = AlgoConfig(name="t", sampling=True, **kw)
-    return _Engine(g, algo, MachineConfig())
+    return _Engine(g, [algo], MachineConfig())
 
 
 def test_mu_is_theta_log_n():
