@@ -11,7 +11,7 @@ the recording falls on both sides alike. It runs:
   workload ``BENCHMARK.json`` declares, for its ``run_seconds``;
 - ``perfbench/run.py --workload W --trace 1``, one pair for each
   workload, keeping its per-layer metrics (one traced pass; no median);
-- ``python -m repro.tables.check``, three pairs, timing each run's wall
+- ``python -m repro.tables.check``, five pairs, timing each run's wall
   clock; a run that finds a differing file stops the script;
 - ``figs.fig12_subgraph()``, three pairs, each call timed inside a fresh
   Python process (graph generation included, imports excluded): Fig. 12
@@ -25,6 +25,7 @@ record per git SHA. For each workload and end-to-end metric of
 ratio against the metric's bound, the number of pairs the change wins
 (ties count for neither side) and the interquartile range of the
 parent's runs, from which a no-regression or gain verdict can be read.
+``tables.check``'s wall clock gets the same verdict, with no bound.
 """
 from __future__ import annotations
 
@@ -37,10 +38,13 @@ import sys
 import time
 
 # Alternating pairs per measurement: a verdict on the benchmark's
-# end-to-end metrics needs ten; the slower whole-table check and Fig. 12
-# are recorded as medians of three.
+# end-to-end metrics needs ten; the slower whole-table check gets a
+# verdict from five, and Fig. 12 is recorded as a median of three.
 PERFBENCH_PAIRS = 10
+CHECK_PAIRS = 5
 RUNS = 3
+# The whole-table check's wall clock, judged like an end-to-end metric.
+TABLES_CHECK = {"name": "tables_check_s", "unit": "s", "better": "lower", "bound": None}
 
 
 def _git(root: pathlib.Path, *args: str) -> str:
@@ -158,7 +162,7 @@ def main(argv: list[str]) -> int:
         w["name"]: perfbench(roots, w["name"], spec["run_seconds"], [m["name"] for m in metrics])
         for w in spec["workloads"]
     }
-    checks = _pairs(roots, RUNS, _tables_check)
+    checks = _pairs(roots, CHECK_PAIRS, _tables_check)
     fig12 = _pairs(roots, RUNS, _fig12)
     path = pathlib.Path(f"BENCH_{label}.json")
     records = json.loads(path.read_text())["records"] if path.exists() else []
@@ -168,7 +172,8 @@ def main(argv: list[str]) -> int:
             # False when src/ or perfbench/ differ from the recorded SHA.
             "clean": _git(root, "status", "--porcelain", "--", "src", "perfbench") == "",
             "nproc": len(os.sched_getaffinity(0)),
-            "runs": {"perfbench": PERFBENCH_PAIRS, "tables_check": RUNS, "fig12": RUNS},
+            "runs": {"perfbench": PERFBENCH_PAIRS, "tables_check": CHECK_PAIRS,
+                     "fig12": RUNS},
             "perfbench": {name: res[root] for name, res in benches.items()},
             "tables_check_s": _summary(checks[root]),
             "fig12_s": _summary(fig12[root]),
@@ -178,6 +183,11 @@ def main(argv: list[str]) -> int:
         name: {m["name"]: verdict(res[roots[0]][m["name"]], res[roots[1]][m["name"]], m)
                for m in metrics}
         for name, res in benches.items()
+    }
+    verdicts["tables.check"] = {
+        TABLES_CHECK["name"]: verdict(
+            _summary(checks[roots[0]]), _summary(checks[roots[1]]), TABLES_CHECK
+        )
     }
     path.write_text(
         json.dumps({"label": label, "records": records, "verdict": verdicts}, indent=2) + "\n"

@@ -22,14 +22,6 @@ def _read(results: pathlib.Path, name: str) -> pd.DataFrame:
     return pd.read_csv(results / name, keep_default_na=False, na_values=[""])
 
 
-def _fmt(v, digits=4):
-    if v is None or v == "" or (isinstance(v, float) and pd.isna(v)):
-        return "-"
-    if isinstance(v, float):
-        return f"{v:.{digits}g}"
-    return str(v)
-
-
 def table2_section(results: pathlib.Path) -> str:
     df = _read(results, "table2.csv")
     out = [
