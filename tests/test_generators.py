@@ -148,23 +148,26 @@ def _brute_knn(pts, k):
     return out
 
 
-@pytest.mark.parametrize("dims,clusters", [(2, 0), (2, 5), (3, 0)])
-def test_knn_graph_exact_vs_brute_force(dims, clusters):
-    n, k = 300, 4
-    g = gen.knn_graph(n, k, dims=dims, clusters=clusters, seed=11)
-    pts = gen._knn_points(n, dims, clusters=clusters, seed=11)
+# (2000, 20 clusters, seed 4) leaves one point unresolved by its cell's
+# 3^d box, so that case runs the ring expansion past ring 1.
+@pytest.mark.parametrize(
+    "dims,clusters,n,seed",
+    [(2, 0, 300, 11), (2, 5, 300, 11), (3, 0, 300, 11), (2, 20, 2000, 4)],
+    ids=["2-0", "2-5", "3-0", "2-20"],
+)
+def test_knn_graph_exact_vs_brute_force(dims, clusters, n, seed):
+    k = 4
+    g = gen.knn_graph(n, k, dims=dims, clusters=clusters, seed=seed)
+    pts = gen._knn_points(n, dims, clusters=clusters, seed=seed)
     brute = _brute_knn(pts, k)
-    # The symmetrized edge set must equal the symmetrized brute-force set
-    # up to distance ties; compare distances instead of ids to be robust.
+    # The symmetrized edge set must equal the symmetrized brute-force set.
     src = np.repeat(np.arange(n), k)
     expect_edges = {(min(a, b), max(a, b)) for a, b in zip(src, brute.ravel())}
     got_edges = set()
     for v in range(g.n):
         for u in g.neighbors(v):
             got_edges.add((min(v, int(u)), max(v, int(u))))
-    # Ties in kth distance can swap one neighbor; allow tiny slack.
-    sym_diff = expect_edges ^ got_edges
-    assert len(sym_diff) <= max(2, len(expect_edges) // 200), sym_diff
+    assert got_edges == expect_edges, expect_edges ^ got_edges
 
 
 def test_knn_graph_min_degree_k():

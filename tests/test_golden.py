@@ -139,6 +139,8 @@ CSR_SHA256 = {
     'CH5': 'a45c6714f50475dedba494161655a25115980b560fbca54fc39dc7ff3c0a9155',
     'COS5': '8931080901a79b9ccc1024eb02d0ca3f98eaf48c06a05d012df13c2a142bfff4',
     'GL5': 'b3f2ba7d99fe6d61bfa9398da63c2d2c9b005de37d9888293b55ecf5287ae835',
+    'GL2': 'f82457bfdb9bd343988ba5c189d52b71fe93f160a8ef6de3fc4fb3e105758311',
+    'GL10': '93f37dd025c8d499de77a28b77546b661ba8d9771370a12b2932e43d1f82e082',
     'HCNS': '665a22cfe994b8e4915a38a3e021b58baa23a2be4d9abd750e0b051d2208c09a',
 }
 
