@@ -264,94 +264,62 @@ def knn_graph(
 ) -> CSR:
     """Exact k-nearest-neighbor graph on random points, symmetrized.
 
-    Uses a uniform cell grid as the spatial index. Points are processed
-    cell-by-cell (all points in a cell share a candidate box), with a
-    per-point ring expansion fallback whenever the k-th best distance is
-    not provably covered by the scanned box. This is the substrate the
-    paper's k-NN datasets (CH5/GL*/COS5) need.
+    Uses a uniform cell grid as the spatial index. Ring r scans, for
+    every point not yet resolved, the box of cells within r of its own
+    cell: the points of one cell share that box and one distance block.
+    A point is resolved when its k-th distance is within the box's cover
+    radius (its distance to the nearest box face inside the domain, inf
+    once the box is the whole domain); the rest go on to ring r + 1.
+    This is the substrate the paper's k-NN datasets (CH5/GL*/COS5) need.
     """
     pts = _knn_points(n, dims, clusters=clusters, seed=seed)
-    cells_per_axis = max(1, int((n / max(2 * k, 8)) ** (1.0 / dims)))
-    cw = 1.0 / cells_per_axis
-    cell = np.clip((pts / cw).astype(np.int64), 0, cells_per_axis - 1)
+    side = max(1, int((n / max(2 * k, 8)) ** (1.0 / dims)))
+    cw = 1.0 / side
+    cell = np.clip((pts / cw).astype(np.int64), 0, side - 1)
     flat = cell[:, 0].copy()
     for d in range(1, dims):
-        flat = flat * cells_per_axis + cell[:, d]
+        flat = flat * side + cell[:, d]
     order = np.argsort(flat, kind="stable")
-    sorted_flat = flat[order]
-    n_cells = cells_per_axis**dims
-    cell_start = np.searchsorted(sorted_flat, np.arange(n_cells))
-    cell_end = np.searchsorted(sorted_flat, np.arange(n_cells), side="right")
+    cell_start = np.searchsorted(flat[order], np.arange(side**dims))
+    cell_end = np.searchsorted(flat[order], np.arange(side**dims), side="right")
 
     def box_members(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         ranges = [np.arange(lo[d], hi[d] + 1) for d in range(dims)]
         grid = np.array(np.meshgrid(*ranges, indexing="ij")).reshape(dims, -1)
         f = grid[0].copy()
         for d in range(1, dims):
-            f = f * cells_per_axis + grid[d]
-        return np.concatenate(
-            [order[cell_start[c] : cell_end[c]] for c in f]
-        )
-
-    def margin(p: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> float:
-        """Provable cover radius: distance from p to the nearest
-        non-domain boundary of the scanned box (inf where clamped)."""
-        m = np.inf
-        for d in range(dims):
-            if lo[d] > 0:
-                m = min(m, p[d] - lo[d] * cw)
-            if hi[d] < cells_per_axis - 1:
-                m = min(m, (hi[d] + 1) * cw - p[d])
-        return m
-
-    def knn_of(point_ids: np.ndarray, cand: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """For each point id, its k nearest among cand (excluding self).
-        Returns (neighbor ids (len(point_ids), k), kth distances)."""
-        d2 = ((pts[cand][None, :, :] - pts[point_ids][:, None, :]) ** 2).sum(axis=2)
-        d2[cand[None, :] == point_ids[:, None]] = np.inf
-        idx = np.argpartition(d2, k - 1, axis=1)[:, :k]
-        rows = np.arange(len(point_ids))[:, None]
-        kth = np.sqrt(d2[rows, idx].max(axis=1))
-        return cand[idx], kth
+            f = f * side + grid[d]
+        return np.concatenate([order[cell_start[c] : cell_end[c]] for c in f])
 
     dst = np.empty((n, k), dtype=np.int64)
-    occupied = np.unique(flat)
-    redo: list[int] = []
-    for f in occupied:
-        members = order[cell_start[f] : cell_end[f]]
-        coord = np.empty(dims, dtype=np.int64)
-        rem = int(f)
-        for d in range(dims - 1, -1, -1):
-            coord[d] = rem % cells_per_axis
-            rem //= cells_per_axis
-        lo = np.maximum(coord - 1, 0)
-        hi = np.minimum(coord + 1, cells_per_axis - 1)
-        cand = box_members(lo, hi)
-        if len(cand) <= k:
-            redo.extend(int(i) for i in members)
-            continue
-        nbrs, kth = knn_of(members, cand)
-        dst[members] = nbrs
-        for j, i in enumerate(members):
-            if kth[j] > margin(pts[i], lo, hi):
-                redo.append(int(i))
-    for i in redo:
-        ring = 2
-        while True:
-            lo = np.maximum(cell[i] - ring, 0)
-            hi = np.minimum(cell[i] + ring, cells_per_axis - 1)
-            cand = box_members(lo, hi)
-            full = (lo == 0).all() and (hi == cells_per_axis - 1).all()
-            if len(cand) > k:
-                nbrs, kth = knn_of(np.array([i]), cand)
-                if full or kth[0] <= margin(pts[i], lo, hi):
-                    dst[i] = nbrs[0]
-                    break
-            elif full:
-                raise ValueError("n must exceed k+1 for a k-NN graph")
-            ring += 1
+    todo = order  # the unresolved points, grouped by cell
+    ring = 1
+    while len(todo):
+        p = pts[todo]
+        lo = np.maximum(cell[todo] - ring, 0)
+        hi = np.minimum(cell[todo] + ring, side - 1)
+        cover = np.minimum(
+            np.where(lo > 0, p - lo * cw, np.inf).min(axis=1),
+            np.where(hi < side - 1, (hi + 1) * cw - p, np.inf).min(axis=1),
+        )
+        done = np.zeros(len(todo), dtype=bool)
+        bounds = np.flatnonzero(np.diff(flat[todo], prepend=-1, append=-1))
+        for s, e in zip(bounds[:-1], bounds[1:]):
+            cand = box_members(lo[s], hi[s])
+            if len(cand) <= k:
+                if cover[s] == np.inf:
+                    raise ValueError("n must exceed k+1 for a k-NN graph")
+                continue
+            d2 = ((pts[cand][None, :, :] - p[s:e, None, :]) ** 2).sum(axis=2)
+            d2[cand[None, :] == todo[s:e, None]] = np.inf
+            idx = np.argpartition(d2, k - 1, axis=1)[:, :k]
+            kth = np.sqrt(np.take_along_axis(d2, idx, axis=1).max(axis=1))
+            dst[todo[s:e]] = cand[idx]
+            done[s:e] = kth <= cover[s:e]
+        todo = todo[~done]
+        ring += 1
     src = np.repeat(np.arange(n, dtype=np.int64), k)
-    return _edges_to_csr(n, src, dst.ravel())
+    return build_csr(n, src, dst.ravel())
 
 
 # ---------------------------------------------------------------------------
