@@ -22,14 +22,12 @@ subround is thus 2 Spark jobs under adaptive execution (the shuffle's
 map stage and the checkpoint), plus 2 per call (the same two for the
 initial state).
 
-With ``bucket_width`` b the candidate pool of Julienne's fixed-b
-bucketing is a boolean ``pool`` column of the state: every b rounds the
-step that opens a round rebuilds it (active vertices with deg < k + b)
-in the same select, and between rebuilds DecreaseKey sets it on every
-decremented vertex, so a vertex that falls into the pool's range is
-still peeled in the correct round. Frontiers are drawn from the pool.
-The column keeps the bucket structure's semantics and its rebuild
-count; it saves no scan, since every step rewrites the whole state.
+``bucket_width`` b only counts the rebuilds of Julienne's fixed-b
+bucketing, once every b rounds (``pool_builds``). A pool of the active
+vertices with deg < k + b, rebuilt then and joined by every decremented
+vertex between rebuilds, always holds the whole frontier {active,
+deg <= k}, and every step rewrites the whole state, so a pool column
+would neither change a frontier nor save a scan.
 
 ``drive``, the one round/subround loop of ``core/``, also runs the
 sampling program, the k'-core subgraph fixpoint and dataflow VGC, whose
@@ -162,32 +160,24 @@ def kcore_dataflow(
 
     Returns ((id, coreness) DataFrame, stats). ``bucket_width`` = 1 is
     the plain single-bucket framework (its pool is rebuilt every round);
-    > 1 is the Julienne-style pool.
+    > 1 counts the rebuilds of the Julienne-style pool.
     """
     assert bucket_width >= 1
-    state = spark.sql(
-        f"SELECT id, deg, -1 AS core, false AS pool, nbrs FROM ({ADJACENCY})", edges=edges
-    )
+    state = spark.sql(f"SELECT id, deg, -1 AS core, nbrs FROM ({ADJACENCY})", edges=edges)
     stats = DataflowStats()
     pool_base = None
 
-    def rebuild(k: int) -> bool:
-        return pool_base is None or k >= pool_base + bucket_width
-
     def peel(state: DataFrame, k: int, probe: tuple) -> DataFrame:
         nonlocal pool_base
-        f = f"{ACTIVE} AND deg <= {k} AND (pool OR {rebuild(k)})"
-        grouped = union_messages(["deg", "core", "pool", "nbrs", f"{f} AS f"], f)
-        if rebuild(k):
+        if pool_base is None or k >= pool_base + bucket_width:
             pool_base = k
             stats.pool_builds += 1
-            pool = f"deg - c < {k + bucket_width}"
-        else:
-            pool = "pool OR c > 0"  # DecreaseKey: decremented vertices (re)enter the pool
+        f = f"{ACTIVE} AND deg <= {k}"
+        grouped = union_messages(["deg", "core", "nbrs", f"{f} AS f"], f)
         return spark.sql(
             f"SELECT id, deg - c AS deg,"
             f" IF(f, {k}, core) AS core,"  # set coreness of the frontier (line 7 of Alg. 1)
-            f" {pool} AS pool, nbrs FROM ({grouped})",
+            f" nbrs FROM ({grouped})",
             state=state,
         )
 
