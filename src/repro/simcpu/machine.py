@@ -29,27 +29,29 @@ contention term.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 
 @dataclass(frozen=True)
 class MachineConfig:
     """Simulated machine parameters (defaults model the paper's testbed
-    shape at our graph scale)."""
+    shape at our graph scale). Only ``p`` and ``omega`` are settable;
+    the rest are constants of the model."""
 
     p: int = 96  # cores
     omega: float = 100.0  # per-sync scheduling cost in the time model
-    omega_span: float = 15000.0  # Cilkview constant, burdened-span report
+    omega_span: ClassVar[float] = 15000.0  # Cilkview constant, burdened-span report
     # Serialized contended-atomic cost (units per concurrent op beyond
     # the first on one location). 16 edge-op units ~ one cache-line
     # transfer; keeps the sampling-protected algorithm's residual
     # contention (~mu-scale cmax) near omega per subround while
     # thousand-wide unsampled hub decrements (ParK/PKC) serialize badly.
-    t_atomic: float = 16.0
-    t_op: float = 1.0  # per vertex-touch / edge-traversal op
-    unit_seconds: float = 1e-8  # seconds per work unit in reports
-    offline_syncs: int = 3  # syncs per offline subround
-    online_syncs: int = 1  # syncs per online subround
-    hist_passes: float = 2.0  # histogram/semisort work multiplier
+    t_atomic: ClassVar[float] = 16.0
+    t_op: ClassVar[float] = 1.0  # per vertex-touch / edge-traversal op
+    unit_seconds: ClassVar[float] = 1e-8  # seconds per work unit in reports
+    offline_syncs: ClassVar[int] = 3  # syncs per offline subround
+    online_syncs: ClassVar[int] = 1  # syncs per online subround
+    hist_passes: ClassVar[float] = 2.0  # histogram/semisort work multiplier
 
     def seconds(self, units: float) -> float:
         """Convert cost-model units to reported (simulated) seconds."""
