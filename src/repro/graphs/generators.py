@@ -23,14 +23,6 @@ import numpy as np
 from repro.graphs.csr import CSR, build_csr
 
 
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.default_rng(seed)
-
-
-def _edges_to_csr(n: int, src: np.ndarray, dst: np.ndarray) -> CSR:
-    return build_csr(n, src, dst)
-
-
 # ---------------------------------------------------------------------------
 # Power-law families
 
@@ -55,7 +47,7 @@ def chung_lu(
     src, dst = chung_lu_edges(
         n, avg_deg, exponent, seed=seed, max_weight_frac=max_weight_frac
     )
-    return _edges_to_csr(n, src, dst)
+    return build_csr(n, src, dst)
 
 
 def chung_lu_edges(
@@ -68,7 +60,7 @@ def chung_lu_edges(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The raw (src, dst) draws of ``chung_lu``, loops and duplicates
     included."""
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     gamma = 1.0 / (exponent - 1.0)
     i0 = 2.0
     w = (np.arange(n, dtype=np.float64) + i0) ** (-gamma)
@@ -116,7 +108,7 @@ def planted_core(
 
     src, dst = planted_edges(base.n, core_size, core_avg_deg, seed=seed)
     old = edge_array(base)
-    return _edges_to_csr(
+    return build_csr(
         base.n, np.concatenate([old[:, 0], src]), np.concatenate([old[:, 1], dst])
     )
 
@@ -128,7 +120,7 @@ def planted_edges(
     graph. ``build_csr`` reads only the set of undirected pairs, so
     building them together with a base graph's raw edges gives
     ``planted_core`` of that graph in one build."""
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     members = rng.choice(n, size=core_size, replace=False)
     m_extra = int(core_size * core_avg_deg / 2)
     src = members[rng.integers(0, core_size, m_extra)]
@@ -143,7 +135,7 @@ def barabasi_albert(n: int, m0: int, *, seed: int = 0) -> CSR:
     from the endpoint list of existing edges (the standard linear
     preferential-attachment trick).
     """
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     assert n > m0 >= 1
     # Endpoint pool: every inserted edge contributes both endpoints.
     pool = np.empty(2 * n * m0, dtype=np.int64)
@@ -165,7 +157,7 @@ def barabasi_albert(n: int, m0: int, *, seed: int = 0) -> CSR:
         pool[pool_len + m0 : pool_len + 2 * m0] = v
         pool_len += 2 * m0
         e += m0
-    return _edges_to_csr(n, src[:e], dst[:e])
+    return build_csr(n, src[:e], dst[:e])
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +178,7 @@ def grid_2d(
     adds that fraction of diagonal shortcuts — with both nonzero the
     result resembles OSM road networks (k_max 3–4, long cascades).
     """
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     n = rows * cols
     vid = np.arange(n, dtype=np.int64).reshape(rows, cols)
     right = np.column_stack([vid[:, :-1].ravel(), vid[:, 1:].ravel()])
@@ -198,7 +190,7 @@ def grid_2d(
         diag = np.column_stack([vid[:-1, :-1].ravel(), vid[1:, 1:].ravel()])
         diag = diag[rng.random(len(diag)) < diag_prob]
         edges = np.concatenate([edges, diag])
-    return _edges_to_csr(n, edges[:, 0], edges[:, 1])
+    return build_csr(n, edges[:, 0], edges[:, 1])
 
 
 def cube_3d(side: int) -> CSR:
@@ -209,7 +201,7 @@ def cube_3d(side: int) -> CSR:
     ey = np.column_stack([vid[:, :-1, :].ravel(), vid[:, 1:, :].ravel()])
     ez = np.column_stack([vid[:, :, :-1].ravel(), vid[:, :, 1:].ravel()])
     edges = np.concatenate([ex, ey, ez])
-    return _edges_to_csr(n, edges[:, 0], edges[:, 1])
+    return build_csr(n, edges[:, 0], edges[:, 1])
 
 
 def honeycomb(
@@ -221,7 +213,7 @@ def honeycomb(
     ``hole_prob`` deletes random vertices to emulate the holes in the
     simulation meshes.
     """
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     n = rows * cols
     vid = np.arange(n, dtype=np.int64).reshape(rows, cols)
     right = np.column_stack([vid[:, :-1].ravel(), vid[:, 1:].ravel()])
@@ -233,7 +225,7 @@ def honeycomb(
     if hole_prob > 0:
         alive = rng.random(n) >= hole_prob
         edges = edges[alive[edges[:, 0]] & alive[edges[:, 1]]]
-    return _edges_to_csr(n, edges[:, 0], edges[:, 1])
+    return build_csr(n, edges[:, 0], edges[:, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +237,7 @@ def _knn_points(
 ) -> np.ndarray:
     """Random points in [0,1]^dims; optionally a Gaussian-mixture
     (clustered, like GPS traces) instead of uniform."""
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     if clusters <= 0:
         return rng.random((n, dims))
     centers = rng.random((clusters, dims))
@@ -354,7 +346,7 @@ def hcns(k_max: int) -> CSR:
             extra += 1
         src.append(np.full(i, u, dtype=np.int64))
         dst.append(targets[:i].astype(np.int64))
-    return _edges_to_csr(n, np.concatenate(src), np.concatenate(dst))
+    return build_csr(n, np.concatenate(src), np.concatenate(dst))
 
 
 def bipartite_from_lineitem(li_pdf) -> CSR:

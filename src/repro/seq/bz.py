@@ -78,11 +78,6 @@ def bz_kcore(g: CSR) -> BZResult:
     return BZResult(core=deg, work=3 * n + g.m_directed + 2 * moves)
 
 
-def coreness(g: CSR) -> np.ndarray:
-    """Convenience: just the coreness array."""
-    return bz_kcore(g).core
-
-
 def verify_coreness(g: CSR, core: np.ndarray) -> bool:
     """True iff ``core`` satisfies the h-index fixpoint at every vertex.
 

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.graphs import generators as gen
 from repro.graphs.csr import build_csr, from_edge_list
-from repro.seq.bz import bz_kcore, coreness, verify_coreness
+from repro.seq.bz import bz_kcore, verify_coreness
 
 
 def _reference_peeling(g):
@@ -64,7 +64,7 @@ def test_bz_clique():
 
 def test_verifier_accepts_truth():
     g = gen.chung_lu(400, 10, seed=9)
-    assert verify_coreness(g, coreness(g))
+    assert verify_coreness(g, bz_kcore(g).core)
 
 
 def test_verifier_accepts_deflation_fixpoints():
@@ -78,7 +78,7 @@ def test_verifier_accepts_deflation_fixpoints():
 def test_verifier_rejects_inflation():
     """Sampling errors only inflate coreness; any inflation must fail."""
     g = gen.chung_lu(400, 10, seed=9)
-    c = coreness(g)
+    c = bz_kcore(g).core
     bad = c.copy()
     bad[np.argmax(c)] += 1
     assert not verify_coreness(g, bad)
@@ -86,13 +86,13 @@ def test_verifier_rejects_inflation():
 
 def test_verifier_rejects_uniform_inflation():
     g = gen.grid_2d(8, 8)
-    c = coreness(g) + 1
+    c = bz_kcore(g).core + 1
     assert not verify_coreness(g, c)
 
 
 def test_verifier_rejects_negative():
     g = gen.grid_2d(4, 4)
-    c = coreness(g)
+    c = bz_kcore(g).core
     c[0] = -1
     assert not verify_coreness(g, c)
 
@@ -123,7 +123,7 @@ def test_verifier_matches_h_index_reference(n, edges, seed):
     arr = np.array([(a % n, b % n) for a, b in edges], dtype=np.int64).reshape(-1, 2)
     g = from_edge_list(arr, n=n)
     rng = np.random.default_rng(seed)
-    core = coreness(g)
+    core = bz_kcore(g).core
     kmax = int(core.max())
     perturbed = core.copy()
     idx = rng.integers(0, n, rng.integers(1, 4))

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from repro.graphs import generators as gen
-from repro.seq.bz import coreness
+from repro.seq.bz import bz_kcore
 
 
 # ------------------------------------------------------------- chung_lu
@@ -55,7 +55,7 @@ def test_inverse_cdf_matches_searchsorted(n):
 def test_planted_core_raises_kmax():
     base = gen.chung_lu(2000, 6, seed=5)
     boosted = gen.planted_core(base, 100, 60, seed=5)
-    assert coreness(boosted).max() > coreness(base).max() + 5
+    assert bz_kcore(boosted).core.max() > bz_kcore(base).core.max() + 5
     boosted.validate()
 
 
@@ -85,7 +85,7 @@ def test_barabasi_albert_structure():
 
 def test_barabasi_albert_coreness_bounded_by_m0():
     g = gen.barabasi_albert(500, 4, seed=8)
-    assert coreness(g).max() <= 4
+    assert bz_kcore(g).core.max() <= 4
 
 
 # ------------------------------------------------------------- lattices
@@ -93,14 +93,14 @@ def test_grid_2d_degrees_and_coreness():
     g = gen.grid_2d(15, 15)
     d = g.degrees()
     assert d.min() == 2 and d.max() == 4
-    c = coreness(g)
+    c = bz_kcore(g).core
     assert c.max() == 2 and (c == 2).all()  # whole grid is the 2-core
 
 
 def test_grid_degraded_is_road_like():
     g = gen.grid_2d(30, 30, drop_prob=0.12, diag_prob=0.05, seed=1)
     g.validate()
-    assert coreness(g).max() <= 4
+    assert bz_kcore(g).core.max() <= 4
 
 
 def test_cube_3d_structure():
@@ -108,13 +108,13 @@ def test_cube_3d_structure():
     assert g.n == 216
     d = g.degrees()
     assert d.min() == 3 and d.max() == 6
-    assert coreness(g).max() == 3
+    assert bz_kcore(g).core.max() == 3
 
 
 def test_honeycomb_structure():
     g = gen.honeycomb(12, 12)
     assert g.degrees().max() <= 3
-    assert coreness(g).max() == 2
+    assert bz_kcore(g).core.max() == 2
 
 
 def test_honeycomb_holes_reduce_size():
@@ -127,7 +127,7 @@ def test_honeycomb_holes_reduce_size():
 @pytest.mark.parametrize("kmax", [10, 40, 80])
 def test_hcns_exact_coreness_sequence(kmax):
     g = gen.hcns(kmax)
-    c = coreness(g)
+    c = bz_kcore(g).core
     assert c.max() == kmax
     # Exactly one vertex with coreness i for 1 <= i < kmax.
     hist = np.bincount(c)
