@@ -272,16 +272,17 @@ def knn_graph(
     for d in range(1, dims):
         flat = flat * side + cell[:, d]
     order = np.argsort(flat, kind="stable")
-    cell_start = np.searchsorted(flat[order], np.arange(side**dims))
-    cell_end = np.searchsorted(flat[order], np.arange(side**dims), side="right")
+    # Cell c holds the points order[start[c] : start[c + 1]].
+    start = np.searchsorted(flat[order], np.arange(side**dims + 1))
 
     def box_members(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        ranges = [np.arange(lo[d], hi[d] + 1) for d in range(dims)]
-        grid = np.array(np.meshgrid(*ranges, indexing="ij")).reshape(dims, -1)
-        f = grid[0].copy()
-        for d in range(1, dims):
-            f = f * side + grid[d]
-        return np.concatenate([order[cell_start[c] : cell_end[c]] for c in f])
+        """The points of the cells lo..hi, in cell order. The cells of a
+        box row (the last coordinate varies) are one slice of ``order``."""
+        f = np.zeros(1, dtype=np.int64)
+        for d in range(dims - 1):
+            f = (f[:, None] * side + np.arange(lo[d], hi[d] + 1)).ravel()
+        f = f * side
+        return np.concatenate([order[start[c + lo[-1]] : start[c + hi[-1] + 1]] for c in f])
 
     dst = np.empty((n, k), dtype=np.int64)
     todo = order  # the unresolved points, grouped by cell
@@ -302,10 +303,11 @@ def knn_graph(
                 if cover[s] == np.inf:
                     raise ValueError("n must exceed k+1 for a k-NN graph")
                 continue
-            d2 = ((pts[cand][None, :, :] - p[s:e, None, :]) ** 2).sum(axis=2)
+            pc = pts[cand]
+            d2 = sum((pc[:, d] - p[s:e, d, None]) ** 2 for d in range(dims))
             d2[cand[None, :] == todo[s:e, None]] = np.inf
             idx = np.argpartition(d2, k - 1, axis=1)[:, :k]
-            kth = np.sqrt(np.take_along_axis(d2, idx, axis=1).max(axis=1))
+            kth = np.sqrt(d2[np.arange(e - s), idx[:, -1]])  # the partition's k-th
             dst[todo[s:e]] = cand[idx]
             done[s:e] = kth <= cover[s:e]
         todo = todo[~done]
