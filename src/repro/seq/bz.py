@@ -2,11 +2,19 @@
 
 BZ [Batagelj & Zaversnik 2003] is the O(n+m) sequential baseline the
 paper compares against (the "BZ" column of Table 2): vertices are
-bucket-sorted by degree and peeled in nondecreasing degree order,
-swapping neighbors across bucket boundaries as their induced degrees
-drop. It doubles as the ground truth for every parallel variant.
-The peel is a scalar loop over ``memoryview``s of the NumPy arrays, and
-its operation count has the closed form ``3n + m_directed + 2 * moves``.
+peeled in nondecreasing order of their induced degree, and each peel
+lowers its live neighbors' degrees. It doubles as the ground truth for
+every parallel variant.
+
+The peel here is level-synchronous and vectorized: at level k it
+removes every live vertex of degree <= k at once, gathers the removed
+vertices' live neighbors, decrements them with one ``np.unique`` and
+repeats on those whose degree fell to k or below; when none did, k
+jumps to the least live degree. Every vertex removed at level k has
+coreness k, the order BZ's bucket sort gives. BZ's operation count
+does not depend on that order: a bucket move lowers one degree by one,
+from d(v) to core(v), so there are ``m_directed - sum(core)`` moves and
+the count is ``3n + m_directed + 2 * moves`` in closed form.
 
 ``verify_coreness`` checks the local h-index fixpoint characterization
 of coreness in O(n + m), with two neighbor counts per vertex. Peeling
@@ -24,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.graphs.csr import CSR
+from repro.graphs.csr import CSR, gather_neighbors
 
 
 @dataclass
@@ -36,46 +44,36 @@ class BZResult:
 
 
 def bz_kcore(g: CSR) -> BZResult:
-    """Exact coreness for every vertex via the BZ peeling order."""
-    n = g.n
-    deg = g.degrees().astype(np.int64)
-    if n == 0:
-        return BZResult(core=np.empty(0, dtype=np.int64), work=0)
-    md = int(deg.max())
-    # bin_start[d] = index in `vert` of the first vertex with degree d.
-    counts = np.bincount(deg, minlength=md + 1)
-    bin_start = np.zeros(md + 2, dtype=np.int64)
-    np.cumsum(counts, out=bin_start[1:])
-    vert_a = np.argsort(deg, kind="stable").astype(np.int64)
-    pos_a = np.empty(n, dtype=np.int64)
-    pos_a[vert_a] = np.arange(n)
-    # Scalar loop over zero-copy memoryviews: each step touches one or
-    # two entries, where NumPy's per-call cost would dominate.
-    vert, pos = memoryview(vert_a), memoryview(pos_a)
-    bins = memoryview(bin_start[:-1].copy())  # start of each degree bucket
-    dm = memoryview(deg)
-    indptr, adj = memoryview(g.indptr), memoryview(g.adj)
-    moves = 0
-    for i in range(n):
-        v = vert[i]
-        dv = dm[v]
-        for u in adj[indptr[v] : indptr[v + 1]]:
-            du = dm[u]
-            if du > dv:
-                # Swap u with the first vertex of its bucket, then
-                # shrink the bucket: u now lives in bucket du-1.
-                pu = pos[u]
-                pw = bins[du]
-                w = vert[pw]
-                if u != w:
-                    vert[pu], vert[pw] = w, u
-                    pos[u], pos[w] = pw, pu
-                bins[du] = pw + 1
-                dm[u] = du - 1
-                moves += 1
-    # Bucket-sort init touches every vertex twice; the peel touches
-    # each vertex once, each directed edge once and each move twice.
-    return BZResult(core=deg, work=3 * n + g.m_directed + 2 * moves)
+    """Exact coreness for every vertex, peeled level by level.
+
+    Each pass of the loop is one level's subround, and a level with no
+    live vertex of degree <= k is skipped to the least live degree, so
+    the loop runs once per subround, never per vertex or edge. The work
+    is BZ's: the bucket-sort init touches every vertex twice, the peel
+    touches each vertex once, each directed edge once and each of the
+    ``m_directed - sum(core)`` bucket moves twice.
+    """
+    deg = g.degrees()
+    core = np.zeros(g.n, dtype=np.int64)
+    alive = np.ones(g.n, dtype=bool)
+    live = np.arange(g.n, dtype=np.int64)
+    k = 0
+    frontier = live[deg <= k]
+    while True:
+        if len(frontier) == 0:
+            live = live[alive[live]]
+            if len(live) == 0:
+                break
+            k = max(k + 1, int(deg[live].min()))
+            frontier = live[deg[live] <= k]
+        core[frontier] = k
+        alive[frontier] = False
+        nbrs = gather_neighbors(g.indptr, g.adj, frontier)
+        ids, cts = np.unique(nbrs[alive[nbrs]], return_counts=True)
+        deg[ids] -= cts
+        frontier = ids[deg[ids] <= k]
+    moves = g.m_directed - int(core.sum())
+    return BZResult(core=core, work=3 * g.n + g.m_directed + 2 * moves)
 
 
 def verify_coreness(g: CSR, core: np.ndarray) -> bool:
