@@ -279,41 +279,40 @@ class _Engine:
     def _decrement_batch(
         self, targets: np.ndarray, k: int
     ) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
-        """Apply decrements for active targets (split sampled/plain).
-        Returns (next frontier adds, decremented ids, cmax, resample set)."""
-        act = targets[self.state[targets] == ACTIVE]
-        resample_set = np.empty(0, dtype=np.int64)
+        """Apply one subround's batch decrements to the active targets.
+        Returns (next frontier adds, decremented ids, cmax, resample set).
+
+        One ``np.unique`` sorts the subround: over all targets when
+        online, since Alg. 3 decrements every neighbor atomically,
+        queued and peeled ones included, so contention counts them all;
+        over the active targets when offline, whose histogram has no
+        contention. The contention max, the plain decrements and the
+        sampled hits are masks on those distinct ids with their counts.
+        Sample-mode targets are left out of the contention max: their
+        atomics are rate-thinned, and their binomial hits count instead.
+        """
+        if self.algo.peel == "offline":
+            targets = targets[self.state[targets] == ACTIVE]
+        if len(targets) == 0:  # no batch seed has a target to decrement
+            return targets, targets, 0, targets
+        ids, cts = np.unique(targets, return_counts=True)
+        active = self.state[ids] == ACTIVE
+        smode = self.smode[ids]
         cmax = 0
-        dec_ids = np.empty(0, dtype=np.int64)
-        dropped = np.empty(0, dtype=np.int64)
-        if self.algo.peel == "online" and len(targets):
-            # Alg. 3 decrements every neighbor atomically — including
-            # already-queued/peeled ones — so contention is measured
-            # over ALL targets, not just the active ones. Sample-mode
-            # targets are excluded: their atomics are rate-thinned (the
-            # binomial hits below contribute their own cmax).
-            raw = targets[~self.smode[targets]] if self.algo.sampling else targets
-            if len(raw):
-                _, all_cts = np.unique(raw, return_counts=True)
-                cmax = int(all_cts.max())
-        if self.algo.sampling:
-            sm = self.smode[act]
-            plain, sampled = act[~sm], act[sm]
-        else:
-            plain, sampled = act, act[:0]
-        if len(plain):
-            uts, cts = np.unique(plain, return_counts=True)
-            self.deg[uts] -= cts
-            sel = (self.deg[uts] <= k) & (self.state[uts] == ACTIVE)
-            dropped = uts[sel]
-            self.state[dropped] = QUEUED
-            dec_ids = uts
-        if len(sampled):
-            sts, scts = np.unique(sampled, return_counts=True)
-            hits = self.rng.binomial(scts, self.srate[sts])
+        if self.algo.peel == "online" and not smode.all():
+            cmax = int(cts[~smode].max())
+        plain = active & ~smode
+        dec_ids = ids[plain]
+        self.deg[dec_ids] -= cts[plain]
+        dropped = dec_ids[self.deg[dec_ids] <= k]
+        self.state[dropped] = QUEUED
+        sampled = active & smode
+        resample_set = ids[:0]
+        if sampled.any():
+            sts = ids[sampled]
+            hits = self.rng.binomial(cts[sampled], self.srate[sts])
             self.scnt[sts] += hits
-            if hits.size:
-                cmax = max(cmax, int(hits.max()))
+            cmax = max(cmax, int(hits.max()))
             resample_set = sts[self.scnt[sts] >= self.mu]
         return dropped, dec_ids, cmax, resample_set
 
