@@ -301,7 +301,7 @@ def knn_graph(
             cand = box_members(lo[s], hi[s])
             if len(cand) <= k:
                 if cover[s] == np.inf:
-                    raise ValueError("n must exceed k+1 for a k-NN graph")
+                    raise ValueError("n must exceed k for a k-NN graph")
                 continue
             pc = pts[cand]
             d2 = sum((pc[:, d] - p[s:e, d, None]) ** 2 for d in range(dims))

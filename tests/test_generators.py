@@ -176,8 +176,10 @@ def test_knn_graph_min_degree_k():
 
 
 def test_knn_requires_enough_points():
-    with pytest.raises(Exception):
-        gen.knn_graph(3, 5, seed=1)
+    with pytest.raises(ValueError, match="n must exceed k "):
+        gen.knn_graph(5, 5, seed=1)
+    # n = k + 1 is enough: every point's k nearest are all the others.
+    assert gen.knn_graph(6, 5, seed=1).degrees().tolist() == [5] * 6
 
 
 # ---------------------------------------------------------- TPC-H tie-in
