@@ -24,8 +24,10 @@ record per git SHA. For each workload and end-to-end metric of
 ``BENCHMARK.json`` it also writes a ``verdict``: both medians, their
 ratio against the metric's bound, the number of pairs the change wins
 (ties count for neither side) and the interquartile range of the
-parent's runs, from which a no-regression or gain verdict can be read.
-``tables.check``'s wall clock gets the same verdict, with no bound.
+parent's runs, from which a no-regression verdict can be read, and
+``gain_met``, whether the change wins at least 9 pairs in 10 and its
+median beats the parent's by more than that IQR. ``tables.check``'s
+wall clock and Fig. 12's seconds get the same verdict, with no bound.
 """
 from __future__ import annotations
 
@@ -39,12 +41,13 @@ import time
 
 # Alternating pairs per measurement: a verdict on the benchmark's
 # end-to-end metrics needs ten; the slower whole-table check gets a
-# verdict from five, and Fig. 12 is recorded as a median of three.
+# verdict from five, and Fig. 12 gets one from three.
 PERFBENCH_PAIRS = 10
 CHECK_PAIRS = 5
 RUNS = 3
 # The whole-table check's wall clock, judged like an end-to-end metric.
 TABLES_CHECK = {"name": "tables_check_s", "unit": "s", "better": "lower", "bound": None}
+FIG12 = {"name": "fig12_s", "unit": "s", "better": "lower", "bound": None}
 
 
 def _git(root: pathlib.Path, *args: str) -> str:
@@ -110,6 +113,7 @@ def verdict(parent: dict, change: dict, metric: dict) -> dict:
     sign = 1 if metric["better"] == "lower" else -1
     pairs = list(zip(parent["samples"], change["samples"]))
     q1, _, q3 = statistics.quantiles(parent["samples"], n=4)
+    wins = sum(sign * (c - p) < 0 for p, c in pairs)
     return {
         "better": metric["better"],
         "bound": metric["bound"],
@@ -117,9 +121,13 @@ def verdict(parent: dict, change: dict, metric: dict) -> dict:
         "change_median": change["median"],
         "ratio": change["median"] / parent["median"],
         "pairs": len(pairs),
-        "change_wins": sum(sign * (c - p) < 0 for p, c in pairs),
+        "change_wins": wins,
         "parent_wins": sum(sign * (c - p) > 0 for p, c in pairs),
         "parent_iqr": q3 - q1,
+        # A gain: the change wins at least 9 pairs in 10, and its median
+        # beats the parent's by more than the parent's IQR.
+        "gain_met": wins >= 0.9 * len(pairs)
+        and sign * (parent["median"] - change["median"]) > q3 - q1,
     }
 
 
@@ -184,11 +192,10 @@ def main(argv: list[str]) -> int:
                for m in metrics}
         for name, res in benches.items()
     }
-    verdicts["tables.check"] = {
-        TABLES_CHECK["name"]: verdict(
-            _summary(checks[roots[0]]), _summary(checks[roots[1]]), TABLES_CHECK
-        )
-    }
+    for name, metric, runs in (("tables.check", TABLES_CHECK, checks), ("fig12", FIG12, fig12)):
+        verdicts[name] = {
+            metric["name"]: verdict(_summary(runs[roots[0]]), _summary(runs[roots[1]]), metric)
+        }
     path.write_text(
         json.dumps({"label": label, "records": records, "verdict": verdicts}, indent=2) + "\n"
     )
