@@ -17,6 +17,15 @@ the recording falls on both sides alike. It runs:
   Python process (graph generation included, imports excluded): Fig. 12
   runs on the driver, outside the ``check`` sweep's Spark fan-out.
 
+While each untraced ``perfbench`` run and each ``tables.check`` run goes
+on, a thread sums the ``Pss`` of the run's Python processes (the run's
+own process and every Python descendant, Spark workers and the children
+they fork included; the JVM is left out) from ``/proc/<pid>/smaps_rollup``
+every 50 ms, and keeps the run's peak: ``tree_pss_mb`` per workload and
+``tables_check_pss_mb``. ``perfbench``'s ``peak_rss_mb`` reads the
+processes still alive at the end of a pass, so it never counts a child
+that has exited; this peak does.
+
 For each checkout it writes the median of its runs of each number, the
 samples, the number of usable CPUs and the checkout's git SHA to
 ``BENCH_<label>.json`` in the current directory. The file keeps one
@@ -27,7 +36,8 @@ ratio against the metric's bound, the number of pairs the change wins
 parent's runs, from which a no-regression verdict can be read, and
 ``gain_met``, whether the change wins at least 9 pairs in 10 and its
 median beats the parent's by more than that IQR. ``tables.check``'s
-wall clock and Fig. 12's seconds get the same verdict, with no bound.
+wall clock, Fig. 12's seconds and the two PSS peaks get the same
+verdict, with no bound.
 """
 from __future__ import annotations
 
@@ -37,6 +47,7 @@ import pathlib
 import statistics
 import subprocess
 import sys
+import threading
 import time
 
 # Alternating pairs per measurement: a verdict on the benchmark's
@@ -48,6 +59,12 @@ RUNS = 3
 # The whole-table check's wall clock, judged like an end-to-end metric.
 TABLES_CHECK = {"name": "tables_check_s", "unit": "s", "better": "lower", "bound": None}
 FIG12 = {"name": "fig12_s", "unit": "s", "better": "lower", "bound": None}
+TREE_PSS = {"name": "tree_pss_mb", "unit": "MiB", "better": "lower", "bound": None}
+TABLES_CHECK_PSS = {
+    "name": "tables_check_pss_mb", "unit": "MiB", "better": "lower", "bound": None,
+}
+# Seconds between two samples of a run's summed PSS.
+PSS_PERIOD = 0.05
 
 
 def _git(root: pathlib.Path, *args: str) -> str:
@@ -73,22 +90,81 @@ def _pairs(roots: list[pathlib.Path], n: int, run) -> dict:
     return out
 
 
+def _python_tree_pss_mb(root_pid: int) -> float:
+    """Summed ``Pss`` (MiB) of the Python processes among ``root_pid``
+    and its descendants; processes that exit while being read count 0."""
+    children: dict = {}
+    comm = {}
+    for d in os.listdir("/proc"):
+        if not d.isdigit():
+            continue
+        try:
+            stat = pathlib.Path(f"/proc/{d}/stat").read_text()
+        except OSError:
+            continue
+        # "pid (comm) state ppid ...": comm may hold spaces and parens.
+        comm[int(d)] = stat[stat.index("(") + 1 : stat.rindex(")")]
+        ppid = int(stat[stat.rindex(")") + 2 :].split()[1])
+        children.setdefault(ppid, []).append(int(d))
+    kib = 0
+    todo = [root_pid]
+    while todo:
+        pid = todo.pop()
+        todo += children.get(pid, [])
+        if not comm.get(pid, "").startswith("python"):
+            continue
+        try:
+            rollup = pathlib.Path(f"/proc/{pid}/smaps_rollup").read_text()
+        except OSError:
+            continue
+        kib += next(
+            (int(line.split()[1]) for line in rollup.splitlines() if line.startswith("Pss:")), 0
+        )
+    return kib / 1024
+
+
+def _run_sampled(cmd: list[str], cwd: pathlib.Path, env=None) -> tuple[str, float]:
+    """Run ``cmd`` to completion; return its stdout and the peak summed
+    PSS (MiB) of its Python processes, sampled every ``PSS_PERIOD``."""
+    proc = subprocess.Popen(
+        cmd, cwd=cwd, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True
+    )
+    stop = threading.Event()
+    peak = [0.0]
+
+    def sample():
+        while not stop.wait(PSS_PERIOD):
+            peak[0] = max(peak[0], _python_tree_pss_mb(proc.pid))
+
+    sampler = threading.Thread(target=sample)
+    sampler.start()
+    try:
+        out, err = proc.communicate()
+    finally:
+        stop.set()
+        sampler.join()
+    if proc.returncode:
+        raise subprocess.CalledProcessError(proc.returncode, cmd, out, err)
+    return out, peak[0]
+
+
 def _run_perfbench(root: pathlib.Path, workload: str, seconds: float, trace: int) -> dict:
-    """The JSON summary line of one ``perfbench/run.py`` run."""
-    proc = subprocess.run(
+    """The JSON summary line of one ``perfbench/run.py`` run, with the
+    run's peak summed Python PSS as ``tree_pss_mb``."""
+    out, pss = _run_sampled(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seconds", str(seconds), "--trace", str(trace)],
-        cwd=root, capture_output=True, text=True, check=True,
+        cwd=root,
     )
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    return {**json.loads(out.strip().splitlines()[-1]), "tree_pss_mb": pss}
 
 
 def perfbench(
     roots: list[pathlib.Path], workload: str, seconds: float, metrics: list[str]
 ) -> dict:
-    """Per root: end-to-end ``metrics`` (median and samples) and failure
-    counts of ``PERFBENCH_PAIRS`` runs, and the per-layer metrics of one
-    traced run."""
+    """Per root: end-to-end ``metrics`` and ``tree_pss_mb`` (median and
+    samples) and failure counts of ``PERFBENCH_PAIRS`` runs, and the
+    per-layer metrics of one traced run."""
     runs = _pairs(
         roots, PERFBENCH_PAIRS, lambda root: _run_perfbench(root, workload, seconds, 0)
     )
@@ -97,6 +173,7 @@ def perfbench(
     for root in roots:
         rs = runs[root]
         res = {m: _summary([r["metrics"][m]["value"] for r in rs]) for m in metrics}
+        res["tree_pss_mb"] = _summary([r["tree_pss_mb"] for r in rs])
         res["failed"] = [r["failed"] for r in rs]
         res["attempted"] = [r["attempted"] for r in rs]
         (t,) = traced[root]
@@ -131,15 +208,13 @@ def verdict(parent: dict, change: dict, metric: dict) -> dict:
     }
 
 
-def _tables_check(root: pathlib.Path) -> float:
-    """Wall seconds of one byte-identity check of ``root``'s results/."""
+def _tables_check(root: pathlib.Path) -> tuple[float, float]:
+    """Wall seconds and peak summed Python PSS (MiB) of one byte-identity
+    check of ``root``'s results/."""
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
     t0 = time.perf_counter()
-    subprocess.run(
-        [sys.executable, "-m", "repro.tables.check"],
-        cwd=root, env=env, capture_output=True, text=True, check=True,
-    )
-    return time.perf_counter() - t0
+    _, pss = _run_sampled([sys.executable, "-m", "repro.tables.check"], cwd=root, env=env)
+    return time.perf_counter() - t0, pss
 
 
 def _fig12(root: pathlib.Path) -> float:
@@ -171,7 +246,11 @@ def main(argv: list[str]) -> int:
         for w in spec["workloads"]
     }
     checks = _pairs(roots, CHECK_PAIRS, _tables_check)
-    fig12 = _pairs(roots, RUNS, _fig12)
+    check = {  # per metric, per root: the summary of its check runs
+        m["name"]: {root: _summary([run[i] for run in checks[root]]) for root in roots}
+        for i, m in enumerate((TABLES_CHECK, TABLES_CHECK_PSS))
+    }
+    fig12 = {root: _summary(runs) for root, runs in _pairs(roots, RUNS, _fig12).items()}
     path = pathlib.Path(f"BENCH_{label}.json")
     records = json.loads(path.read_text())["records"] if path.exists() else []
     for root in roots:
@@ -183,19 +262,20 @@ def main(argv: list[str]) -> int:
             "runs": {"perfbench": PERFBENCH_PAIRS, "tables_check": CHECK_PAIRS,
                      "fig12": RUNS},
             "perfbench": {name: res[root] for name, res in benches.items()},
-            "tables_check_s": _summary(checks[root]),
-            "fig12_s": _summary(fig12[root]),
+            **{name: res[root] for name, res in check.items()},
+            "fig12_s": fig12[root],
         }
         records = [r for r in records if r["git_sha"] != record["git_sha"]] + [record]
     verdicts = {
         name: {m["name"]: verdict(res[roots[0]][m["name"]], res[roots[1]][m["name"]], m)
-               for m in metrics}
+               for m in [*metrics, TREE_PSS]}
         for name, res in benches.items()
     }
-    for name, metric, runs in (("tables.check", TABLES_CHECK, checks), ("fig12", FIG12, fig12)):
-        verdicts[name] = {
-            metric["name"]: verdict(_summary(runs[roots[0]]), _summary(runs[roots[1]]), metric)
-        }
+    verdicts["tables.check"] = {
+        m["name"]: verdict(check[m["name"]][roots[0]], check[m["name"]][roots[1]], m)
+        for m in (TABLES_CHECK, TABLES_CHECK_PSS)
+    }
+    verdicts["fig12"] = {FIG12["name"]: verdict(fig12[roots[0]], fig12[roots[1]], FIG12)}
     path.write_text(
         json.dumps({"label": label, "records": records, "verdict": verdicts}, indent=2) + "\n"
     )

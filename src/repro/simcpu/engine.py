@@ -40,14 +40,18 @@ follows the model's exact order of pops, decrements and RNG draws;
 ``tests/test_golden.py`` pins the resulting metrics.
 
 A bucket structure only manages the frontier (Sec. 5.1's BuildBuckets,
-GetNextBucket, DecreaseKey), so configs that differ only in
-``structure`` peel the same vertices in the same order: they are one
-*class* (``class_key``). ``run_class`` executes a class once and prices
-every member's structure in lock-step: each round every structure
-produces the frontier (a run raises if two disagree), every structure
-gets the same ``on_decrement`` calls, and each member's ``RunMetrics``
-receives the same charges in the same order as a run of that config
-alone, so its floats are the same. ``run_kcore`` is a class of one.
+GetNextBucket, DecreaseKey), and the online and offline peels take the
+same frontier {active, deg <= k} each subround and apply the same
+decrements; they differ only in what a subround costs. So configs that
+differ only in ``structure`` and ``peel`` peel the same vertices in the
+same order: they are one *class* (``class_key``). ``run_class``
+executes a class once and prices every member in lock-step: each round
+every structure produces the frontier (a run raises if two disagree),
+every structure gets the same ``on_decrement`` calls, each subround is
+charged to each member by its own peel, and each member's
+``RunMetrics`` receives the same charges in the same order as a run of
+that config alone, so its floats are the same. ``run_kcore`` is a class
+of one.
 """
 from __future__ import annotations
 
@@ -105,9 +109,10 @@ def validated(deg, cnt, rate, k: int, r: float):
 
 
 def class_key(algo: AlgoConfig) -> AlgoConfig:
-    """The execution ``algo`` runs: configs with equal keys differ only
-    in the structure that prices their frontiers (see ``run_class``)."""
-    return replace(algo, name="", structure="")
+    """The execution ``algo`` runs: configs with equal keys are equal but
+    for ``structure`` and ``peel``, which only price their frontiers and
+    decrements (see ``run_class``)."""
+    return replace(algo, name="", structure="", peel="")
 
 
 def run_kcore(
@@ -135,9 +140,10 @@ def run_class(
     *,
     stop_at_k: int | None = None,
 ) -> tuple[np.ndarray, list[RunMetrics]]:
-    """Run configs of one ``class_key`` as one execution; return the
-    shared coreness and each config's metrics, equal to what
-    ``run_kcore`` gives that config alone.
+    """Run configs of one ``class_key`` (equal but for ``structure`` and
+    ``peel``) as one execution; return the shared coreness and each
+    config's metrics, equal to what ``run_kcore`` gives that config
+    alone.
 
     Las Vegas wrapper: if the sampled run fails the coreness fixpoint
     verification (possible only with adversarially small mu), restart
@@ -166,6 +172,7 @@ class _Engine:
     def __init__(self, g: CSR, algos: list[AlgoConfig], machine: MachineConfig):
         self.g = g
         self.algos = algos
+        # The fields a class shares: all but name, structure and peel.
         self.algo = algo = algos[0]
         self.mc = machine
         self.n = g.n
@@ -187,10 +194,11 @@ class _Engine:
         # cost per vertex is d + r*d + r^2*d + ... = O(d(v)), the
         # paper's Sec. 4.1.5 bound.
         self.scan_size = self.deg.copy()
-        # Counters that do not depend on the structure, and per structure
-        # the three sums it prices: [work, t_par_units, bspan_units].
+        # Counters that do not depend on the member, and per member the
+        # sums its structure and peel price: [work, t_par_units,
+        # bspan_units, contention_units, max_contention].
         self.met = RunMetrics(n=self.n, m=g.m)
-        self.costs = [[0.0, 0.0, 0.0] for _ in algos]
+        self.costs = [[0.0, 0.0, 0.0, 0.0, 0] for _ in algos]
 
     # -- cost helpers -------------------------------------------------------
 
@@ -212,10 +220,12 @@ class _Engine:
         for s, c in zip(self.structures, self.costs):
             c[0] += s.on_decrement(ids, self.deg)
 
-    def _contention(self, cmax: int) -> float:
-        extra = max(0, int(cmax) - 1) * self.mc.t_atomic
-        self.met.max_contention = max(self.met.max_contention, int(cmax))
-        self.met.contention_units += extra
+    def _contention(self, cmax: int, costs: list) -> float:
+        """The span term of ``cmax`` atomics on one location, counted in
+        one member's ``costs``."""
+        extra = max(0, cmax - 1) * self.mc.t_atomic
+        costs[3] += extra
+        costs[4] = max(costs[4], cmax)
         return extra
 
     # -- sampling helpers ----------------------------------------------------
@@ -278,43 +288,41 @@ class _Engine:
 
     def _decrement_batch(
         self, targets: np.ndarray, k: int
-    ) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
+    ) -> tuple[np.ndarray, np.ndarray, int, int, np.ndarray]:
         """Apply one subround's batch decrements to the active targets.
-        Returns (next frontier adds, decremented ids, cmax, resample set).
+        Returns (next frontier adds, decremented ids, atomics max,
+        sampled hits max, resample set).
 
-        One ``np.unique`` sorts the subround: over all targets when
-        online, since Alg. 3 decrements every neighbor atomically,
-        queued and peeled ones included, so contention counts them all;
-        over the active targets when offline, whose histogram has no
-        contention. The contention max, the plain decrements and the
-        sampled hits are masks on those distinct ids with their counts.
-        Sample-mode targets are left out of the contention max: their
-        atomics are rate-thinned, and their binomial hits count instead.
+        One ``np.unique`` sorts all the targets. Alg. 3 decrements every
+        neighbor atomically, queued and peeled ones included, so the
+        atomics max (an online peel's contention) counts them all; the
+        decrements, which Alg. 2's histogram applies alike, skip them.
+        The atomics max, the plain decrements and the sampled hits are
+        masks on those distinct ids with their counts. Sample-mode
+        targets are left out of the atomics max: their atomics are
+        rate-thinned, and their binomial hits count instead.
         """
-        if self.algo.peel == "offline":
-            targets = targets[self.state[targets] == ACTIVE]
         if len(targets) == 0:  # no batch seed has a target to decrement
-            return targets, targets, 0, targets
+            return targets, targets, 0, 0, targets
         ids, cts = np.unique(targets, return_counts=True)
         active = self.state[ids] == ACTIVE
         smode = self.smode[ids]
-        cmax = 0
-        if self.algo.peel == "online" and not smode.all():
-            cmax = int(cts[~smode].max())
+        atomics = 0 if smode.all() else int(cts[~smode].max())
         plain = active & ~smode
         dec_ids = ids[plain]
         self.deg[dec_ids] -= cts[plain]
         dropped = dec_ids[self.deg[dec_ids] <= k]
         self.state[dropped] = QUEUED
         sampled = active & smode
+        hits_max = 0
         resample_set = ids[:0]
         if sampled.any():
             sts = ids[sampled]
             hits = self.rng.binomial(cts[sampled], self.srate[sts])
             self.scnt[sts] += hits
-            cmax = max(cmax, int(hits.max()))
+            hits_max = int(hits.max())
             resample_set = sts[self.scnt[sts] >= self.mu]
-        return dropped, dec_ids, cmax, resample_set
+        return dropped, dec_ids, atomics, hits_max, resample_set
 
     def _local_search(
         self, seeds: list, k: int, qcap: float, work_cap: float
@@ -399,8 +407,9 @@ class _Engine:
 
         Batch seeds decrement their neighbors inner-parallel; local seeds
         run a local search whose decrements chain (Sec. 4.2). The
-        subround is then charged by its mode: local chains, offline
-        histogram, or online batch."""
+        subround is then charged to each member by its mode: local
+        chains, or a batch applied by its peel, through an offline
+        histogram or online atomics."""
         algo = self.algo
         if algo.local_buffer:  # PKC: every seed chains, without a cap
             qcap = work_cap = math.inf
@@ -414,7 +423,9 @@ class _Engine:
             batch, seeds = frontier, frontier[:0]
         # Batch (inner-parallel) path.
         targets = gather_neighbors(self.indptr, self.adj, batch)
-        dropped, dec_ids, cmax, resample_set = self._decrement_batch(targets, k)
+        dropped, dec_ids, atomics, cmax, resample_set = self._decrement_batch(
+            targets, k
+        )
         if len(dec_ids):
             self._on_decrement(dec_ids)
         # Local searches.
@@ -429,9 +440,10 @@ class _Engine:
         else:
             chain = float(max(works, default=0))
         self.met.max_chain = max(self.met.max_chain, int(chain))
-        # Contention: per-location atomic counts across the subround.
-        # Atomics touch every non-sampled neighbor of every popped
-        # vertex (Alg. 3/5); sample modes do not change in a subround.
+        # Contention that every peel pays: the sampled hits and the
+        # per-location atomic counts of the local searches, which touch
+        # every non-sampled neighbor of every popped vertex (Alg. 3/5);
+        # sample modes do not change in a subround.
         if popped:
             touched = gather_neighbors(self.indptr, self.adj, np.array(popped))
             if algo.sampling:
@@ -442,16 +454,23 @@ class _Engine:
         if dec:
             self._on_decrement(np.unique(np.array(dec)))
         gathered = float(len(batch) + len(targets))
-        if algo.vgc or algo.local_buffer:  # the longest chain is on the span
+        chains = algo.vgc or algo.local_buffer
+        if chains:
             work = gathered + sum(works)
-            span = self._contention(cmax) + max(0.0, chain - work / self.mc.p)
-            self._charge_parallel(work + len(frontier), 1, span)
-        elif algo.peel == "offline":  # Alg. 2: histogram, no contention
-            hist = self.mc.hist_passes * len(targets) + len(dec_ids)
-            self._charge_parallel(gathered + hist, self.mc.offline_syncs)
-        else:  # Alg. 3: atomic decrements
-            span = self._contention(cmax)
-            self._charge_parallel(gathered, self.mc.online_syncs, span)
+            excess = max(0.0, chain - work / self.mc.p)
+        for a, c in zip(self.algos, self.costs):
+            # The batch's atomics contend online only (Alg. 3); offline,
+            # a histogram applies it (Alg. 2).
+            online = a.peel == "online"
+            if chains:  # the longest chain is on the span
+                span = self._contention(max(cmax, atomics) if online else cmax, c)
+                self._charge_parallel(work + len(frontier), 1, span + excess, c)
+            elif online:  # Alg. 3: atomic decrements
+                span = self._contention(max(cmax, atomics), c)
+                self._charge_parallel(gathered, self.mc.online_syncs, span, c)
+            else:  # Alg. 2: histogram, no contention
+                hist = self.mc.hist_passes * len(targets) + len(dec_ids)
+                self._charge_parallel(gathered + hist, self.mc.offline_syncs, costs=c)
         out = [dropped, np.array(spill, dtype=np.int64)]
         if full:
             resample_set = np.unique(np.concatenate([resample_set, full]))
@@ -526,8 +545,10 @@ class _Engine:
             replace(
                 self.met, algo=a.name, work=work, t_par_units=t_par,
                 bspan_units=bspan, t_seq_units=work * self.mc.t_op,
+                contention_units=cont, max_contention=cmax,
                 structure=s.counters(),
                 subrounds_per_round=list(self.met.subrounds_per_round),
             )
-            for a, s, (work, t_par, bspan) in zip(self.algos, self.structures, self.costs)
+            for a, s, (work, t_par, bspan, cont, cmax)
+            in zip(self.algos, self.structures, self.costs)
         ]

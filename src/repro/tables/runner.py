@@ -7,9 +7,15 @@ cell. The distinct cells are grouped by (graph, scale), and each group
 is one Spark task: it generates its graph (deterministic seed) once per
 sweep and returns one metrics row per distinct cell, in request order.
 Inside the task, distinct cells whose configs share an engine
-``class_key`` (they differ only in the bucket structure) are one
-execution, ``engine.run_class``; ``bz`` runs first when the group has
-it. Each row certifies and times itself: ``exact`` (its coreness equals
+``class_key`` (equal but for the bucket structure and the online or
+offline peel) are one execution, ``engine.run_class``. The task forks
+one child process per class after its first, which runs
+``engine.run_class`` on the graph it inherited copy-on-write and pipes
+back the pickled result, so a task's classes use the cores that its
+Spark job's shorter tasks leave idle; the task itself runs ``bz`` (first,
+when the group has it) and its first class, then reads and reaps its
+children in request order, and kills and reaps them if it raises.
+Each row certifies and times itself: ``exact`` (its coreness equals
 BZ's, or passes ``verify_coreness`` when the group has no ``bz`` cell),
 ``wall_s`` (host seconds of the execution that produced it, shared by
 the members of a class) and ``gen_s`` (host seconds the task spent
@@ -76,6 +82,9 @@ def run_cells(
         # worker never imports this module and with it pandas and
         # pyspark.sql: a module-level task cost each of 4 workers
         # ~57 MiB and the ``sim`` benchmark sweep ~1 s.
+        import os
+        import pickle
+        import signal
         import time
 
         import numpy as np
@@ -99,35 +108,100 @@ def run_cells(
         except Exception as e:
             raise failed([a for _, a in todo], e) from e
         gen_s = time.perf_counter() - t0
-        # One execution per class; bz first, so the others check against it.
+
+        def execute(key, names):
+            t0 = time.perf_counter()
+            if key == "bz":
+                res = bz_kcore(g)
+                core, t = res.core, res.work * machine.t_op
+                mets = [RunMetrics(
+                    kmax=int(core.max()), work=res.work,
+                    t_par_units=t, t_seq_units=t,
+                )]
+            else:
+                core, mets = run_class(g, [REGISTRY[a] for a in names], machine)
+            return core, mets, time.perf_counter() - t0
+
+        def fork(key, names):
+            """Run ``execute`` in a child; return (pid, its result pipe)."""
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:  # the child: never returns into the task
+                status = 1
+                try:
+                    os.close(r)
+                    try:
+                        out = (None, execute(key, names))
+                    except Exception as e:
+                        out = (e, None)
+                    with os.fdopen(w, "wb") as f:
+                        f.write(pickle.dumps(out, pickle.HIGHEST_PROTOCOL))
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(w)
+            return pid, os.fdopen(r, "rb")
+
+        def join(key):
+            """The result of a forked class, once its child is reaped."""
+            pid, f = children[key]
+            data = f.read()
+            f.close()
+            _, status = os.waitpid(pid, 0)
+            del children[key]
+            if not data:
+                code = os.waitstatus_to_exitcode(status)
+                raise RuntimeError(f"child exited with status {code} and no result")
+            err, out = pickle.loads(data)
+            if err is not None:
+                raise err
+            return out
+
+        # One execution per class; bz first, so the others check against
+        # it. The task runs bz and its first class, and forks the rest.
         runs: dict = {}
         for task, algo in todo:
             key = class_key(REGISTRY[algo]) if algo in REGISTRY else algo
             runs.setdefault(key, []).append((task, algo))
+        order = sorted(runs, key=lambda key: key != "bz")
+        children: dict = {}
         truth = None
-        rows = {}
-        for key in sorted(runs, key=lambda key: key != "bz"):
-            names = [a for _, a in runs[key]]
-            try:
-                t0 = time.perf_counter()
+        done = {}  # key -> (metrics, wall_s, exact)
+        try:
+            for key in [key for key in order if key != "bz"][1:]:
+                names = [a for _, a in runs[key]]
+                try:
+                    children[key] = fork(key, names)
+                except OSError as e:
+                    raise failed(names, e) from e
+            for key in order:
+                names = [a for _, a in runs[key]]
+                try:
+                    core, mets, wall_s = (
+                        join(key) if key in children else execute(key, names)
+                    )
+                    if truth is None:
+                        exact = bool(verify_coreness(g, core))
+                    else:
+                        exact = bool(np.array_equal(core, truth))
+                except Exception as e:
+                    raise failed(names, e) from e
                 if key == "bz":
-                    res = bz_kcore(g)
-                    core, t = res.core, res.work * machine.t_op
-                    mets = [RunMetrics(
-                        kmax=int(core.max()), work=res.work,
-                        t_par_units=t, t_seq_units=t,
-                    )]
-                else:
-                    core, mets = run_class(g, [REGISTRY[a] for a in names], machine)
-                wall_s = time.perf_counter() - t0
-                if truth is None:
-                    exact = bool(verify_coreness(g, core))
-                else:
-                    exact = bool(np.array_equal(core, truth))
-            except Exception as e:
-                raise failed(names, e) from e
-            if key == "bz":
-                truth = core
+                    truth = core
+                done[key] = mets, wall_s, exact
+        finally:  # on a raise, no child is left running
+            for pid, f in children.values():
+                f.close()
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        rows = {}
+        for key in order:
+            mets, wall_s, exact = done[key]
             for (task, algo), met in zip(runs[key], mets):
                 rows[task] = {
                     "task": task,

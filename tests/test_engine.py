@@ -1,5 +1,7 @@
 """Machine-simulator engine: exact coreness for every algorithm config
 on every mini suite graph, plus metric-shape properties."""
+import os
+import time
 from dataclasses import fields, replace
 
 import numpy as np
@@ -219,11 +221,11 @@ def assert_same_metrics(got: RunMetrics, want: RunMetrics) -> None:
 
 
 def test_registry_classes():
-    """13 configurations are 6 executions (see ``class_key``)."""
-    assert len(CLASSES) == 6
+    """13 configurations are 5 executions (see ``class_key``)."""
+    assert len(CLASSES) == 5
     assert list(map(_ids, CLASSES)) == [
-        "ours|vgc+sample|ours-vgc-f16", "plain|hbs|park", "vgc|vgc+hbs",
-        "sample|sample+hbs|ours-novgc-f16", "julienne", "pkc",
+        "ours|vgc+sample|ours-vgc-f16", "plain|hbs|julienne|park", "vgc|vgc+hbs",
+        "sample|sample+hbs|ours-novgc-f16", "pkc",
     ]
 
 
@@ -314,21 +316,98 @@ class _LocalRDD:
         return self.items
 
 
-def test_run_cells_names_the_cells_of_a_failing_class(broken_adaptive):
-    cells = [{"graph": "GRID", "algo": a, "scale": "mini"} for a in ("plain", "hbs")]
+def _cells(*algos) -> list[dict]:
+    return [{"graph": "GRID", "algo": a, "scale": "mini"} for a in algos]
+
+
+def _cell(algo: str) -> str:
+    return f"cell (graph='GRID', algo='{algo}', scale='mini')"
+
+
+@pytest.fixture
+def forked_pids(monkeypatch):
+    """The pid of every child ``run_cells`` forks."""
+    pids = []
+    fork = os.fork
+
+    def record():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", record)
+    return pids
+
+
+def assert_reaped(pids) -> None:
+    for pid in pids:  # reaped: no longer a child of this process
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+@pytest.mark.parametrize(
+    "algos", [("plain", "hbs"), ("pkc", "plain", "hbs")], ids=["task", "forked"]
+)
+def test_run_cells_names_the_cells_of_a_failing_class(broken_adaptive, algos):
+    """The failing class is the task's own (first) class, or a forked one."""
     with pytest.raises(RuntimeError) as err:
-        run_cells(_LocalSpark(), cells)
+        run_cells(_LocalSpark(), _cells(*algos))
+    assert "'adaptive' of 'hbs' returned a different" in str(err.value)
     for a in ("plain", "hbs"):
-        assert f"cell (graph='GRID', algo='{a}', scale='mini')" in str(err.value)
+        assert _cell(a) in str(err.value)
+    assert _cell("pkc") not in str(err.value)
+
+
+def test_run_cells_names_the_cells_of_a_child_that_exits(monkeypatch, forked_pids):
+    run = engine.run_class
+
+    def run_class(g, algos, machine=None):
+        if algos[0].name == "plain":
+            os._exit(3)
+        return run(g, algos, machine)
+
+    monkeypatch.setattr(engine, "run_class", run_class)
+    with pytest.raises(RuntimeError, match="child exited with status 3") as err:
+        run_cells(_LocalSpark(), _cells("pkc", "plain", "hbs"))
+    for a in ("plain", "hbs"):
+        assert _cell(a) in str(err.value)
+    assert _cell("pkc") not in str(err.value)
+    assert len(forked_pids) == 1
+    assert_reaped(forked_pids)
+
+
+def test_run_cells_kills_its_children_when_the_task_raises(monkeypatch, forked_pids):
+    """The task's own class raises while its forked classes still run:
+    every child is killed and reaped before the error propagates."""
+    run = engine.run_class
+
+    def run_class(g, algos, machine=None):
+        if algos[0].name != "pkc":
+            time.sleep(60)  # a child still running when the task raises
+            return run(g, algos, machine)
+        raise ValueError("the task's own class")
+
+    monkeypatch.setattr(engine, "run_class", run_class)
+    t0 = time.perf_counter()
+    with pytest.raises(RuntimeError, match="the task's own class") as err:
+        run_cells(_LocalSpark(), _cells("pkc", "plain", "vgc"))
+    assert time.perf_counter() - t0 < 30  # killed, not waited for
+    assert _cell("pkc") in str(err.value) and _cell("plain") not in str(err.value)
+    assert len(forked_pids) == 2
+    assert_reaped(forked_pids)
 
 
 @pytest.mark.parametrize("with_bz", [True, False])
-def test_run_cells_rows_certify_and_time_themselves(with_bz):
+def test_run_cells_rows_certify_and_time_themselves(with_bz, forked_pids):
     """Each row is checked against BZ's coreness (or certified when the
-    group has no ``bz`` cell) and timed; a class shares one execution."""
+    group has no ``bz`` cell) and timed; a class shares one execution,
+    and every class after the first runs in a child, reaped on return."""
     algos = ["ours", "plain", "vgc+sample", "hbs", "pkc"] + ["bz"] * with_bz
     cells = [{"graph": "TW", "algo": a, "scale": "mini"} for a in algos]
     df = run_cells(_LocalSpark(), cells).set_index("algo")
+    assert len(forked_pids) == 2
+    assert_reaped(forked_pids)
     assert df.exact.all()
     assert df.loc["ours", "wall_s"] == df.loc["vgc+sample", "wall_s"]
     assert df.loc["plain", "wall_s"] == df.loc["hbs", "wall_s"]
