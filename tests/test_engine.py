@@ -208,7 +208,10 @@ def _classes() -> list[list[AlgoConfig]]:
 
 
 CLASSES = _classes()
+# Every class of more than one config, and the online members of the
+# plain class alone: any configs of one class run as one execution.
 LOCKSTEP = [members for members in CLASSES if len(members) > 1]
+LOCKSTEP.append([PLAIN, REGISTRY["hbs"], PARK])
 
 
 def _ids(members) -> str:
@@ -346,17 +349,15 @@ def assert_reaped(pids) -> None:
             os.waitpid(pid, os.WNOHANG)
 
 
-@pytest.mark.parametrize(
-    "algos", [("plain", "hbs"), ("pkc", "plain", "hbs")], ids=["task", "forked"]
-)
-def test_run_cells_names_the_cells_of_a_failing_class(broken_adaptive, algos):
+def test_run_cells_names_the_cells_of_a_failing_class(broken_adaptive):
     """The failing class is the task's own (first) class, or a forked one."""
-    with pytest.raises(RuntimeError) as err:
-        run_cells(_LocalSpark(), _cells(*algos))
-    assert "'adaptive' of 'hbs' returned a different" in str(err.value)
-    for a in ("plain", "hbs"):
-        assert _cell(a) in str(err.value)
-    assert _cell("pkc") not in str(err.value)
+    for algos in [("plain", "hbs"), ("pkc", "plain", "hbs")]:
+        with pytest.raises(RuntimeError) as err:
+            run_cells(_LocalSpark(), _cells(*algos))
+        assert "'adaptive' of 'hbs' returned a different" in str(err.value)
+        for a in ("plain", "hbs"):
+            assert _cell(a) in str(err.value)
+        assert _cell("pkc") not in str(err.value)
 
 
 def test_run_cells_names_the_cells_of_a_child_that_exits(monkeypatch, forked_pids):
