@@ -28,8 +28,10 @@ that has exited; this peak does.
 
 For each checkout it writes the median of its runs of each number, the
 samples, the number of usable CPUs and the checkout's git SHA to
-``BENCH_<label>.json`` in the current directory. The file keeps one
-record per git SHA. For each workload and end-to-end metric of
+``BENCH_<label>.json`` in the current directory. The file holds
+exactly the two records its verdict was computed from, each tagged with
+its ``role`` (``parent`` or ``change``); recording again replaces the
+file. For each workload and end-to-end metric of
 ``BENCHMARK.json`` it also writes a ``verdict``: both medians, their
 ratio against the metric's bound, the number of pairs the change wins
 (ties count for neither side) and the interquartile range of the
@@ -252,9 +254,9 @@ def main(argv: list[str]) -> int:
     }
     fig12 = {root: _summary(runs) for root, runs in _pairs(roots, RUNS, _fig12).items()}
     path = pathlib.Path(f"BENCH_{label}.json")
-    records = json.loads(path.read_text())["records"] if path.exists() else []
-    for root in roots:
-        record = {
+    records = [
+        {
+            "role": role,
             "git_sha": _git(root, "rev-parse", "HEAD"),
             # False when src/ or perfbench/ differ from the recorded SHA.
             "clean": _git(root, "status", "--porcelain", "--", "src", "perfbench") == "",
@@ -265,7 +267,8 @@ def main(argv: list[str]) -> int:
             **{name: res[root] for name, res in check.items()},
             "fig12_s": fig12[root],
         }
-        records = [r for r in records if r["git_sha"] != record["git_sha"]] + [record]
+        for role, root in zip(("parent", "change"), roots)
+    ]
     verdicts = {
         name: {m["name"]: verdict(res[roots[0]][m["name"]], res[roots[1]][m["name"]], m)
                for m in [*metrics, TREE_PSS]}

@@ -11,6 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Edges per step of the blocked kernels (graph build, Chung-Lu draws,
+# coreness check): their temporaries stay cache-sized.
+BLOCK = 1 << 15
+
 
 @dataclass(frozen=True)
 class CSR:
@@ -72,18 +76,53 @@ def build_csr(n: int, src: np.ndarray, dst: np.ndarray) -> CSR:
     The input is treated as a set of (possibly directed, possibly
     duplicated) edges; the output contains each undirected edge exactly
     once in each direction, with self-loops dropped.
+
+    Each edge is encoded as its canonical pair code ``lo * n + hi``
+    (lo < hi) and the codes are sorted in place; a self-loop gets the
+    code -1, which sorts before every pair. The distinct pairs are then
+    expanded into the directed codes ``v * n + u``: the canonical half
+    is already sorted, the swapped half ``hi * n + lo`` is sorted in
+    place, and one merge of the two runs gives the CSR order. Encoding
+    and swapping run over blocks of ``BLOCK`` edges, so no step holds a
+    temporary larger than a block beside the codes and the output.
     """
-    src = np.asarray(src, dtype=np.int64)
-    dst = np.asarray(dst, dtype=np.int64)
-    keep = src != dst
-    src, dst = src[keep], dst[keep]
-    # Symmetrize then dedupe on the encoded pair; the sorted codes are
-    # already in (source, target) order, which is the CSR layout.
-    code = np.unique(np.concatenate([src * n + dst, dst * n + src]))
-    a, b = np.divmod(code, n)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(a, minlength=n), out=indptr[1:])
-    return CSR(indptr=indptr, adj=b)
+    code = _pair_codes(n, np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64))
+    code.sort()
+    code = code[np.searchsorted(code, 0) :]
+    first = np.empty(len(code), dtype=bool)
+    first[:1] = True
+    np.not_equal(code[1:], code[:-1], out=first[1:])
+    pairs = code[first]
+    del code, first
+    m = len(pairs)
+    adj = np.empty(2 * m, dtype=np.int64)
+    adj[:m] = pairs
+    del pairs
+    for i in range(0, m, BLOCK):
+        j = min(i + BLOCK, m)
+        lo, hi = np.divmod(adj[i:j], n)
+        np.multiply(hi, n, out=adj[m + i : m + j])
+        adj[m + i : m + j] += lo
+    adj[m:].sort()
+    adj.sort(kind="stable")  # a merge of the two sorted runs
+    indptr = np.searchsorted(adj, np.arange(n + 1, dtype=np.int64) * n)
+    np.remainder(adj, n, out=adj)
+    return CSR(indptr=indptr, adj=adj)
+
+
+def _pair_codes(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """The canonical code ``min * n + max`` of every edge, -1 for a
+    self-loop, computed ``BLOCK`` edges at a time (in a function of its
+    own, so that no view of a block outlives the codes)."""
+    code = np.empty(len(src), dtype=np.int64)
+    for i in range(0, len(code), BLOCK):
+        s, d = src[i : i + BLOCK], dst[i : i + BLOCK]
+        lo, hi = np.minimum(s, d), np.maximum(s, d)
+        c = code[i : i + BLOCK]
+        np.multiply(lo, n, out=c)
+        c += hi
+        c[lo == hi] = -1
+    return code
 
 
 def from_edge_list(edges: np.ndarray, n: int | None = None) -> CSR:

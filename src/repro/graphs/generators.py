@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.graphs.csr import CSR, build_csr
+from repro.graphs.csr import BLOCK, CSR, build_csr
 
 
 # ---------------------------------------------------------------------------
@@ -68,31 +68,40 @@ def chung_lu_edges(
     cdf = np.cumsum(w)
     cdf /= cdf[-1]
     m = int(n * avg_deg / 2)
-    src = _inverse_cdf(cdf, rng.random(m))
-    dst = _inverse_cdf(cdf, rng.random(m))
+    src = _inverse_cdf(cdf, rng, m)
+    dst = _inverse_cdf(cdf, rng, m)
     # Shuffle vertex ids so hubs are not contiguous low ids.
     perm = rng.permutation(n)
-    return perm[src], perm[dst]
+    # In place: mode "raise" would buffer a copy of the output.
+    np.take(perm, src, out=src, mode="clip")
+    np.take(perm, dst, out=dst, mode="clip")
+    return src, dst
 
 
-def _inverse_cdf(cdf: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``np.searchsorted(cdf, x)`` for draws x in [0, 1) and a ``cdf``
-    ending at 1, through a guide table (Chen & Asau, 1974).
+def _inverse_cdf(cdf: np.ndarray, rng: np.random.Generator, m: int) -> np.ndarray:
+    """``np.searchsorted(cdf, rng.random(m))`` for a ``cdf`` ending at 1,
+    through a guide table (Chen & Asau, 1974).
 
     ``searchsorted`` bisects the whole ``cdf`` for each random key, a
     cache miss per step. A table of K = 2^b equal slices of [0, 1)
     (x * K is exact) narrows each answer to a few entries, which a
-    vectorized bisection then settles."""
+    vectorized bisection then settles. The keys are drawn ``BLOCK`` at
+    a time, the same stream as one ``rng.random(m)``, and each block is
+    settled into its slice of the one output array."""
     k = 1 << (2 * len(cdf)).bit_length()
     table = np.searchsorted(cdf, np.arange(k + 1) / k)
-    j = (x * k).astype(np.int64)
-    lo, hi = table[j], table[j + 1]
-    for _ in range(int((hi - lo).max(initial=0)).bit_length()):
-        mid = (lo + hi) >> 1
-        below = cdf[mid] < x
-        lo = np.where(below, mid + 1, lo)
-        hi = np.where(below, hi, mid)
-    return lo
+    out = np.empty(m, dtype=np.int64)
+    for i in range(0, m, BLOCK):
+        x = rng.random(min(BLOCK, m - i))
+        j = (x * k).astype(np.int64)
+        lo, hi = table[j], table[j + 1]
+        for _ in range(int((hi - lo).max(initial=0)).bit_length()):
+            mid = (lo + hi) >> 1
+            below = cdf[mid] < x
+            lo = np.where(below, mid + 1, lo)
+            hi = np.where(below, hi, mid)
+        out[i : i + len(x)] = lo
+    return out
 
 
 def planted_core(
@@ -135,6 +144,14 @@ def barabasi_albert(n: int, m0: int, *, seed: int = 0) -> CSR:
     from the endpoint list of existing edges (the standard linear
     preferential-attachment trick).
     """
+    return build_csr(n, *barabasi_albert_edges(n, m0, seed=seed))
+
+
+def barabasi_albert_edges(
+    n: int, m0: int, *, seed: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
+    """The raw (src, dst) attachments of ``barabasi_albert``, duplicates
+    included."""
     rng = np.random.default_rng(seed)
     assert n > m0 >= 1
     # Endpoint pool: every inserted edge contributes both endpoints.
@@ -157,7 +174,7 @@ def barabasi_albert(n: int, m0: int, *, seed: int = 0) -> CSR:
         pool[pool_len + m0 : pool_len + 2 * m0] = v
         pool_len += 2 * m0
         e += m0
-    return build_csr(n, src[:e], dst[:e])
+    return src[:e], dst[:e]
 
 
 # ---------------------------------------------------------------------------
@@ -328,12 +345,15 @@ def hcns(k_max: int) -> CSR:
     exactly i and is the only vertex peeled in round i. This yields
     rho = k_max and n = 2*k_max, stressing the bucketing structure.
     """
-    clique = np.arange(k_max + 1, dtype=np.int64)
-    cs, cd = np.meshgrid(clique, clique)
-    mask = cs < cd
-    src = [cs[mask]]
-    dst = [cd[mask]]
-    n = k_max + 1 + (k_max - 1)
+    c = k_max + 1  # clique size
+    n = c + (k_max - 1)
+    t = c * (c - 1) // 2  # clique edges
+    src = np.empty(t + k_max * (k_max - 1) // 2, dtype=np.int64)
+    dst = np.empty_like(src)
+    # Clique pair (i, j) for j < i sits at i(i-1)/2 + j.
+    src[:t] = np.repeat(np.arange(c), np.arange(c))
+    np.subtract(np.arange(t), src[:t] * (src[:t] - 1) // 2, out=dst[:t])
+    e = t
     for i in range(1, k_max):
         u = k_max + i  # chain vertex with target coreness i
         # Round-robin attachment keeps clique degrees balanced.
@@ -346,9 +366,10 @@ def hcns(k_max: int) -> CSR:
             if cand not in targets:
                 targets = np.append(targets, cand)
             extra += 1
-        src.append(np.full(i, u, dtype=np.int64))
-        dst.append(targets[:i].astype(np.int64))
-    return build_csr(n, np.concatenate(src), np.concatenate(dst))
+        src[e : e + i] = u
+        dst[e : e + i] = targets[:i]
+        e += i
+    return build_csr(n, src, dst)
 
 
 def bipartite_from_lineitem(li_pdf) -> CSR:

@@ -41,11 +41,28 @@ def _cl(n, avg, exp, seed, frac=0.02):
 
 def _cl_core(n, avg, exp, seed, cs, cavg, frac=0.02):
     """``planted_core(chung_lu(...))``, built from both edge sets at once."""
+    return _cored(
+        lambda: gen.chung_lu_edges(n, avg, exp, seed=seed, max_weight_frac=frac),
+        n, cs, cavg, seed,
+    )
+
+
+def _ba_core(n, m0, seed, cs, cavg):
+    """``planted_core(barabasi_albert(...))``, built from both edge sets at once."""
+    return _cored(lambda: gen.barabasi_albert_edges(n, m0, seed=seed), n, cs, cavg, seed)
+
+
+def _cored(edges, n, cs, cavg, seed):
+    """One ``build_csr`` of the raw ``edges()`` and the planted edges:
+    ``build_csr`` reads only the set of undirected pairs, so this is
+    ``planted_core`` of the graph the raw edges build."""
 
     def build() -> CSR:
-        src, dst = gen.chung_lu_edges(n, avg, exp, seed=seed, max_weight_frac=frac)
+        src, dst = edges()
         psrc, pdst = gen.planted_edges(n, cs, cavg, seed=seed)
-        return build_csr(n, np.concatenate([src, psrc]), np.concatenate([dst, pdst]))
+        src = np.concatenate([src, psrc])
+        dst = np.concatenate([dst, pdst])
+        return build_csr(n, src, dst)
 
     return build
 
@@ -186,8 +203,7 @@ _add(GraphSpec("HCNS", "other",
     _paper(0.1e6, 5.0e9, 50000, 50000, 27.8, 2.01, 23.5, None, 49.7, None),
     "High-coreness synthetic (Julienne cell blank; PKC OOM)"))
 _add(GraphSpec("HPL", "other",
-    lambda: gen.planted_core(gen.barabasi_albert(100_000, 6, seed=123), 300, 180, seed=123),
-    lambda: gen.planted_core(gen.barabasi_albert(3_000, 4, seed=223), 50, 30, seed=223),
+    _ba_core(100_000, 6, 123, 300, 180), _ba_core(3_000, 4, 223, 50, 30),
     _paper(100e6, 1.20e9, 3980, 6297, 47.3, 1.77, 38.9, 3.59, 30.4, 59.1),
     "Barabasi-Albert power-law + dense core"))
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.graphs.csr import CSR, gather_neighbors
+from repro.graphs.csr import BLOCK, CSR, gather_neighbors
 
 
 @dataclass
@@ -100,8 +100,19 @@ def verify_coreness(g: CSR, core: np.ndarray) -> bool:
     core = np.asarray(core, dtype=np.int64)
     if np.any(core < 0):
         return False
-    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(g.indptr))
-    gap = core[g.adj] - core[src]  # neighbor's core minus its source's
-    at_least = np.bincount(src[gap >= 0], minlength=n)
-    above = np.bincount(src[gap > 0], minlength=n)
-    return bool(np.all(at_least >= core) and np.all(above <= core))
+    indptr = g.indptr
+    # A block runs from the first vertex whose list starts at or after a
+    # multiple of BLOCK to the next such vertex, so a hub whose list is
+    # longer than a block ends a block of its own.
+    cuts = np.unique(np.searchsorted(indptr, np.arange(0, g.m_directed + 1, BLOCK)))
+    for v0, v1 in zip(cuts, np.append(cuts[1:], n)):
+        e = indptr[v0 : v1 + 1]
+        own = core[v0:v1]
+        gap = core[g.adj[e[0] : e[-1]]] - np.repeat(own, np.diff(e))
+        # Per-vertex counts from prefix sums of the two per-edge tests.
+        at = e - e[0]
+        at_least = np.concatenate(([0], np.cumsum(gap >= 0)))[at]
+        above = np.concatenate(([0], np.cumsum(gap > 0)))[at]
+        if np.any(np.diff(at_least) < own) or np.any(np.diff(above) > own):
+            return False
+    return True

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graphs import generators as gen
-from repro.graphs.csr import build_csr, edge_array, from_edge_list
+import repro.seq.bz as bz_mod
+from repro.graphs.csr import BLOCK, build_csr, edge_array, from_edge_list
 from repro.graphs.suite import SUITE, load_graph
 from repro.seq.bz import bz_kcore, verify_coreness
 
@@ -155,3 +156,92 @@ def test_verifier_matches_h_index_reference(n, edges, seed):
         rng.integers(-1, kmax + 3, n),
     ):
         assert verify_coreness(g, a) == _h_index_fixpoint(g, a)
+
+
+# --------------------------------------------- blocked coreness check
+def _assignments(g, rng):
+    """True coreness, +1 everywhere, all zeros, the top vertex +1, one
+    vertex -1 and a random perturbation."""
+    core = bz_kcore(g).core
+    top = core.copy()
+    top[np.argmax(core)] += 1
+    lowered = core.copy()
+    lowered[rng.integers(0, g.n)] -= 1
+    perturbed = core.copy()
+    idx = rng.integers(0, g.n, 20)
+    perturbed[idx] = np.maximum(0, perturbed[idx] + rng.choice([-1, 1], 20))
+    return [core, core + 1, np.zeros(g.n, dtype=np.int64), top,
+            np.maximum(lowered, 0), perturbed]
+
+
+def _assert_verifies_like_reference(g, seed=0):
+    rng = np.random.default_rng(seed)
+    verdicts = []
+    for a in _assignments(g, rng):
+        got = verify_coreness(g, a)
+        assert got == _h_index_fixpoint(g, a)
+        verdicts.append(got)
+    assert verdicts[:3] == [True, False, True]
+
+
+@pytest.mark.parametrize("m_directed", [BLOCK - 2, BLOCK, BLOCK + 2])
+def test_verifier_block_sized_edge_counts(m_directed):
+    """A graph of exactly ``m_directed`` directed edges: the edges fill
+    one block, fall two short of it or spill two into the next."""
+    rng = np.random.default_rng(m_directed)
+    n = 1500
+    lo, hi = np.triu_indices(n, 1)
+    pick = rng.choice(len(lo), m_directed // 2, replace=False)
+    g = build_csr(n, lo[pick], hi[pick])
+    assert g.m_directed == m_directed
+    _assert_verifies_like_reference(g, m_directed)
+
+
+@pytest.mark.parametrize("offset", [0, 1, 2])
+def test_verifier_block_cut_at_and_inside_a_list(offset):
+    """A star, then disjoint 4-cliques (3 edges per list): the cut at
+    edge BLOCK falls on a vertex boundary or 1 or 2 edges into a list."""
+    d = next(d for d in range(3, 6) if (BLOCK - 2 * d) % 3 == offset)
+    src, dst = [np.zeros(d, dtype=np.int64)], [np.arange(1, d + 1)]
+    a, b = np.triu_indices(4, 1)
+    for v in range(d + 1, d + 1 + 4 * (BLOCK // 12 + 10), 4):
+        src.append(v + a)
+        dst.append(v + b)
+    src, dst = np.concatenate(src), np.concatenate(dst)
+    g = build_csr(int(dst.max()) + 1, src, dst)
+    assert BLOCK - g.indptr[np.searchsorted(g.indptr, BLOCK, side="right") - 1] == offset
+    _assert_verifies_like_reference(g, offset)
+
+
+def test_verifier_hub_spanning_blocks():
+    """A hub whose list is over three blocks long, with a dense core
+    beside it."""
+    rng = np.random.default_rng(3)
+    n = 3 * BLOCK + 8
+    hub = n // 3
+    leaves = np.delete(np.arange(n), hub)
+    core = rng.choice(n, 60, replace=False)
+    a, b = np.triu_indices(60, 1)
+    src = np.concatenate([np.full(n - 1, hub), core[a], rng.integers(0, n, 4000)])
+    dst = np.concatenate([leaves, core[b], rng.integers(0, n, 4000)])
+    g = build_csr(n, src, dst)
+    assert g.degrees()[hub] == n - 1
+    _assert_verifies_like_reference(g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 25),
+    edges=st.lists(st.tuples(st.integers(0, 24), st.integers(0, 24)), max_size=120),
+    block=st.integers(1, 9),
+    seed=st.integers(0, 2**16),
+)
+def test_verifier_any_block_size(n, edges, block, seed):
+    """With tiny blocks every vertex list meets a block boundary."""
+    arr = np.array([(a % n, b % n) for a, b in edges], dtype=np.int64).reshape(-1, 2)
+    g = from_edge_list(arr, n=n)
+    rng = np.random.default_rng(seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bz_mod, "BLOCK", block)
+        for a in _assignments(g, rng) + [rng.integers(-1, 4, n)]:
+            assert verify_coreness(g, a) == _h_index_fixpoint(g, a)

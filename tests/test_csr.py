@@ -4,7 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graphs.csr import CSR, build_csr, edge_array, from_edge_list, gather_neighbors
+import repro.graphs.csr as csr_mod
+from repro.graphs.csr import (
+    BLOCK, CSR, build_csr, edge_array, from_edge_list, gather_neighbors,
+)
 
 
 def test_build_simple_triangle():
@@ -116,3 +119,99 @@ def test_build_csr_invariants_hold(edges):
     # Undirected edge count equals the distinct non-loop pair count.
     pairs = {(min(a, b), max(a, b)) for a, b in edges if a != b}
     assert g.m == len(pairs)
+
+
+# ------------------------------------------------ blocked build kernel
+def _unique_csr(n, src, dst):
+    """Reference build: ``np.unique`` of both directions' pair codes."""
+    src, dst = np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)
+    keep = src != dst
+    src, dst = src[keep], dst[keep]
+    code = np.unique(np.concatenate([src * n + dst, dst * n + src]))
+    a, b = np.divmod(code, n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(a, minlength=n), out=indptr[1:])
+    return indptr, b
+
+
+def _assert_builds_like_unique(n, src, dst):
+    g = build_csr(n, src, dst)
+    indptr, adj = _unique_csr(n, src, dst)
+    assert g.indptr.dtype == np.int64 and g.adj.dtype == np.int64
+    assert np.array_equal(g.indptr, indptr) and np.array_equal(g.adj, adj)
+    return g
+
+
+@pytest.mark.parametrize("count", [BLOCK - 1, BLOCK, BLOCK + 1])
+def test_build_csr_block_sized_edge_counts(count):
+    """``count`` distinct pairs, randomly oriented, with no loop or
+    duplicate: the raw edges and the distinct pairs both fill one block,
+    fall one short of it or spill one into the next."""
+    rng = np.random.default_rng(count)
+    n = 400
+    lo, hi = np.triu_indices(n, 1)
+    pick = rng.choice(len(lo), count, replace=False)
+    flip = rng.random(count) < 0.5
+    src = np.where(flip, hi[pick], lo[pick])
+    dst = np.where(flip, lo[pick], hi[pick])
+    assert _assert_builds_like_unique(n, src, dst).m == count
+
+
+def test_build_csr_hub_spanning_blocks():
+    """A hub adjacent to every other vertex: its list is over three
+    blocks long, in the raw edges and in the CSR."""
+    rng = np.random.default_rng(7)
+    n = 3 * BLOCK + 8
+    hub = n // 2
+    leaves = np.delete(np.arange(n), hub)
+    src = np.concatenate([np.full(n - 1, hub), rng.integers(0, n, 5000)])
+    dst = np.concatenate([leaves, rng.integers(0, n, 5000)])
+    order = rng.permutation(len(src))
+    g = _assert_builds_like_unique(n, src[order], dst[order])
+    assert g.degrees()[hub] == n - 1
+
+
+def test_build_csr_loops_and_duplicates_across_blocks():
+    """Self-loops on both sides of each block boundary, and duplicates
+    and reversals of an edge placed in other blocks than the edge."""
+    rng = np.random.default_rng(11)
+    n = 3000
+    src = rng.integers(0, n, 3 * BLOCK)
+    dst = rng.integers(0, n, 3 * BLOCK)
+    for b in (BLOCK, 2 * BLOCK):
+        src[b - 1 : b + 1] = dst[b - 1 : b + 1]
+    src[BLOCK + 1], dst[BLOCK + 1] = dst[BLOCK - 2], src[BLOCK - 2]  # reversed
+    src[2 * BLOCK + 5], dst[2 * BLOCK + 5] = src[3], dst[3]  # duplicate
+    src[-1], dst[-1] = dst[3], src[3]
+    _assert_builds_like_unique(n, src, dst)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 40),
+    edges=st.lists(st.tuples(st.integers(0, 39), st.integers(0, 39)), max_size=150),
+    block=st.integers(1, 9),
+)
+def test_build_csr_any_block_size(n, edges, block):
+    """With tiny blocks every kind of edge falls on a block boundary."""
+    arr = np.array([(a % n, b % n) for a, b in edges], dtype=np.int64).reshape(-1, 2)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(csr_mod, "BLOCK", block)
+        _assert_builds_like_unique(n, arr[:, 0], arr[:, 1])
+
+
+def test_chung_lu_build_peak_is_a_small_multiple_of_its_csr():
+    """The traced peak of generating and building a mid-size Chung-Lu
+    graph stays within 3x its CSR bytes (the raw draws are about one
+    CSR's worth; the build's temporaries about one and a half)."""
+    import tracemalloc
+
+    from repro.graphs.generators import chung_lu
+
+    tracemalloc.start()
+    try:
+        g = chung_lu(20_000, 30, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * (g.indptr.nbytes + g.adj.nbytes)

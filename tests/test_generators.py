@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from repro.graphs import generators as gen
+from repro.graphs.csr import BLOCK
 from repro.seq.bz import bz_kcore
 
 
@@ -47,8 +48,31 @@ def test_inverse_cdf_matches_searchsorted(n):
     cdf = np.cumsum(w)
     cdf /= cdf[-1]
     x = np.concatenate([rng.random(20_000), [0.0, np.nextafter(1.0, 0.0)], cdf[:-1]])
-    assert np.array_equal(gen._inverse_cdf(cdf, x), np.searchsorted(cdf, x))
-    assert len(gen._inverse_cdf(cdf, x[:0])) == 0
+    assert np.array_equal(gen._inverse_cdf(cdf, _Keys(x), len(x)), np.searchsorted(cdf, x))
+    assert len(gen._inverse_cdf(cdf, _Keys(x), 0)) == 0
+
+
+class _Keys:
+    """Hands out fixed keys in order, as ``Generator.random(size)`` does."""
+
+    def __init__(self, x):
+        self.x, self.i = x, 0
+
+    def random(self, size):
+        self.i += size
+        return self.x[self.i - size : self.i]
+
+
+@pytest.mark.parametrize("m", [BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
+def test_inverse_cdf_draws_one_stream(m):
+    """Drawing the keys a block at a time is the same stream as one
+    ``rng.random(m)``, and leaves the generator where that call would."""
+    cdf = np.cumsum(np.arange(1, 301) ** -1.2)
+    cdf /= cdf[-1]
+    a, b = np.random.default_rng(m), np.random.default_rng(m)
+    got = gen._inverse_cdf(cdf, a, m)
+    assert np.array_equal(got, np.searchsorted(cdf, b.random(m)))
+    assert a.random() == b.random()
 
 
 # --------------------------------------------------------- planted core

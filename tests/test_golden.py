@@ -1,11 +1,14 @@
 """Golden-metrics pin: exact RunMetrics, BZ outputs and generated CSR
-hashes at mini scale.
+hashes at mini scale, plus the CSR hashes of the bench-scale graphs
+that perfbench's ``sim`` workload builds.
 
 The simulated seconds in ``results/`` are the reproduction's outputs,
 so a host-side speedup of the engine, BZ or graph construction must not
 move them. These values were recorded before the local-search, BZ and
 ``build_csr`` kernels were rewritten, and the batch-path configs'
-before the engine's two subround bodies were merged into one; any
+before the engine's two subround bodies were merged into one; the CSR
+pins of the other mini graphs and of the bench graphs were recorded
+before ``build_csr`` and the Chung-Lu draws became blocked kernels. Any
 later rewrite that shifts the model (a different RNG draw order, a
 different chaining prefix, a different edge order) fails here with the
 first differing field.
@@ -15,7 +18,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.graphs.suite import load_graph
+from repro.graphs.suite import SUITE, load_graph
 from repro.seq.bz import bz_kcore
 from repro.simcpu.engine import run_kcore
 from repro.tables.runner import algo_registry
@@ -142,6 +145,25 @@ CSR_SHA256 = {
     'GL2': 'f82457bfdb9bd343988ba5c189d52b71fe93f160a8ef6de3fc4fb3e105758311',
     'GL10': '93f37dd025c8d499de77a28b77546b661ba8d9771370a12b2932e43d1f82e082',
     'HCNS': '665a22cfe994b8e4915a38a3e021b58baa23a2be4d9abd750e0b051d2208c09a',
+    'OK': 'bd9ab696d41a3f8278ecf13d870a099ea7723371fd1aeb13b7597ae083018bfd',
+    'WB': '9efa5f4fd1c7d43979b6f0a2bc17e326fbc382f5492ba5e5c627e8f3e1cd3eb5',
+    'TW': '2bdbfe591aab56f09a8ff3c7938cfb0ae4695a842da83647691b59ccfab9b757',
+    'FS': '7f82f8af8cbac7514619a3bd9f1e456cbf446019c555714f3ffdbc0f5b9bd375',
+    'SD': 'fd83ad9f1a98e23e73b683d843411e62d0d3dde002fbed8583d2883de4630327',
+    'CW': 'c5a7e792510da0aeb59b46111f875bf3ee9058af1dcdfbdde9134da830eb9db9',
+    'HL14': '18b455fdcd0e72d3c15345a0c4920f3a76137772f397107fc6fa8c1f6ee75994',
+    'HL12': 'fe402044addd07b21422749a9fc5c411c8795d48920473e85e520e1c1039195c',
+    'NA': '5e0630bfdbb721b996b337a58925efc43115f9cc575c4e5e295fe68edf36bbeb',
+    'AS': '923d2d161eccf5911c601639b796bc5c397bb88fc3e082c7adc823b0b5de53a9',
+    'EU': '051697bddb9b726637d4a3dc37716c88687d676a25abf152c1ccd4fbfa0b0e7c',
+    'BBL': 'a8f2fe0d06362d2f67185d136b21f3557154eb88648a218bf5b85448b0dd37a3',
+}
+# The bench-scale graphs of perfbench's ``sim`` workload.
+BENCH_CSR_SHA256 = {
+    'EH': '8828df9e8ee264f4bb217c8cd80e388ba1a7cdcbfb5c401f703a321df6ccb43d',
+    'HCNS': 'a6fd13571fedd31eb66103989bc3c813f5133839f196c6c644d9cdf3474944b9',
+    'TRCE': '5251b3a015cc5534323184f147807c71766ae9d71391b6c5a9c003f9c1e9834f',
+    'BBL': '6ff66fb5e53e76765d6864191ed14e37bdbafb87ab4f323e60d1e23c006b347f',
 }
 
 
@@ -170,3 +192,9 @@ def test_bz_pinned(graph):
 def test_generated_csr_pinned(graph):
     g = load_graph(graph, "mini")
     assert _sha256(g.indptr, g.adj) == CSR_SHA256[graph]
+
+
+@pytest.mark.parametrize("graph", list(BENCH_CSR_SHA256))
+def test_generated_bench_csr_pinned(graph):
+    g = SUITE[graph].bench()
+    assert _sha256(g.indptr, g.adj) == BENCH_CSR_SHA256[graph]
