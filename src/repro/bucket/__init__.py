@@ -11,15 +11,13 @@ from repro.bucket.hbs import HBS, AdaptiveHBS  # noqa: F401
 
 def make_structure(name: str, n: int) -> FrontierStructure:
     """Factory used by simulator configs: 'scan_all' | 'single' |
-    'fixed' | 'hbs' | 'adaptive'."""
+    'fixed' | 'adaptive'. ``HBS`` itself runs only inside ``AdaptiveHBS``."""
     if name == "scan_all":
         return ScanAll(n)
     if name == "single":
         return SingleBucket(n)
     if name == "fixed":
         return FixedBuckets(n)
-    if name == "hbs":
-        return HBS(n)
     if name == "adaptive":
         return AdaptiveHBS(n)
     raise ValueError(f"unknown frontier structure {name!r}")

@@ -6,7 +6,7 @@ paper adapts its framework (online peel + VGC + sampling) to this
 problem and compares against Galois [60], an asynchronous
 worklist-based system.
 
-- ours-adapted is the engine itself: ``run_kcore(g, OURS, machine,
+- ours-adapted is the engine itself: ``run_kcore(g, OURS,
   stop_at_k=k')`` stops before round k' and caps coreness at k', so
   ``core >= k'`` is the k'-core. Its Las Vegas check is the one of a
   full run, on the capped coreness.
@@ -39,16 +39,14 @@ from repro.simcpu.metrics import RunMetrics
 T_TASK = 12.0
 
 
-def kcore_subgraph_galois(
-    g: CSR, kprime: int, *, machine: MachineConfig | None = None
-) -> tuple[np.ndarray, RunMetrics]:
+def kcore_subgraph_galois(g: CSR, kprime: int) -> tuple[np.ndarray, RunMetrics]:
     """Galois-like asynchronous worklist baseline.
 
     Executes the same peeling (so the mask is exact), but the cost
     model has no subround syncs: time = work/P + per-activity worklist
     overhead (T_TASK per processed vertex) + full contention serialized
     on the hottest location (no sampling)."""
-    machine = machine or MachineConfig()
+    machine = MachineConfig()
     core, met = run_kcore(g, REGISTRY["plain"], machine, stop_at_k=kprime)
     member = core >= kprime
     # Re-price: remove the per-subround omega charges, add worklist

@@ -112,6 +112,10 @@ def planted_core(
     Raises the graph's k_max to roughly ``core_avg_deg/2`` (the ER
     core's degeneracy), reproducing the very dense cores of web graphs
     (EH/SD/CW/HL*) and HPL relative to plain power-law graphs.
+
+    The suite builds these graphs in one ``build_csr`` of both edge sets
+    (``suite._cored``); this two-build form is the reference the tests
+    compare that against.
     """
     from repro.graphs.csr import edge_array
 
@@ -143,6 +147,9 @@ def barabasi_albert(n: int, m0: int, *, seed: int = 0) -> CSR:
     Each new vertex attaches ``m0`` edges to targets drawn uniformly
     from the endpoint list of existing edges (the standard linear
     preferential-attachment trick).
+
+    The suite's HPL graph is ``suite._cored`` of the raw
+    ``barabasi_albert_edges``; tests use this built form as a reference.
     """
     return build_csr(n, *barabasi_albert_edges(n, m0, seed=seed))
 
@@ -370,16 +377,3 @@ def hcns(k_max: int) -> CSR:
         dst[e : e + i] = targets[:i]
         e += i
     return build_csr(n, src, dst)
-
-
-def bipartite_from_lineitem(li_pdf) -> CSR:
-    """Order–part bipartite graph from TPC-H-lite lineitem (pandas).
-
-    Ties the graph layer to the provided relational generators: order
-    keys map to ids [0, n_orders), part keys to [n_orders, ...).
-    """
-    ok = li_pdf["l_orderkey"].to_numpy(dtype=np.int64)
-    pk = li_pdf["l_partkey"].to_numpy(dtype=np.int64)
-    n_orders = int(ok.max())
-    n = n_orders + int(pk.max())
-    return build_csr(n, ok - 1, n_orders + pk - 1)

@@ -84,7 +84,7 @@ class AlgoConfig:
 
     name: str = "ours"
     peel: str = "online"  # "online" | "offline"
-    # scan_all (ParK/PKC: no active set) | single | fixed | hbs | adaptive
+    # scan_all (ParK/PKC: no active set) | single | fixed | adaptive
     structure: str = "single"
     vgc: bool = False
     local_buffer: bool = False  # PKC unbounded thread-local buffers

@@ -39,6 +39,3 @@ class RunMetrics:
 
     def t_seq_seconds(self, machine) -> float:
         return machine.seconds(self.t_seq_units)
-
-    def self_speedup(self) -> float:
-        return self.t_seq_units / self.t_par_units if self.t_par_units else 0.0

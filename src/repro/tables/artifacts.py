@@ -18,7 +18,6 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.graphs.suite import REPRESENTATIVE, SAMPLING_GRAPHS, SUITE
-from repro.simcpu.machine import MachineConfig
 from repro.tables import figs, report, table2, table3
 from repro.tables.runner import run_cells
 
@@ -52,17 +51,23 @@ def sweep(
     *,
     graphs: list[str] | None = None,
     scale: str = "bench",
-    machine: MachineConfig | None = None,
 ) -> pd.DataFrame:
     """The ``run_cells`` frame of every cell the named artifacts read on
-    ``graphs`` (else each artifact's own), from one call."""
+    ``graphs`` (else each artifact's own), from one call. Raises, naming
+    each cell, if any row's coreness is inexact."""
     cells = dict.fromkeys(
         (g, a) for name in names for g in graphs or ARTIFACTS[name].graphs
         for a in ARTIFACTS[name].algos
     )
-    return run_cells(
-        spark, [{"graph": g, "algo": a, "scale": scale} for g, a in cells], machine
-    )
+    raw = run_cells(spark, [{"graph": g, "algo": a, "scale": scale} for g, a in cells])
+    bad = raw[~raw.exact]
+    if len(bad):
+        where = ", ".join(
+            f"cell (graph={g!r}, algo={a!r}, scale={s!r})"
+            for g, a, s in zip(bad.graph, bad.algo, bad.scale)
+        )
+        raise RuntimeError(f"inexact coreness: {where}")
+    return raw
 
 
 def tabulate(
@@ -88,11 +93,10 @@ def build(
     *,
     graphs: list[str] | None = None,
     scale: str = "bench",
-    machine: MachineConfig | None = None,
 ) -> dict[str, pd.DataFrame]:
     """``tabulate`` of one ``sweep``."""
     names = list(names)
-    raw = sweep(spark, names, graphs=graphs, scale=scale, machine=machine)
+    raw = sweep(spark, names, graphs=graphs, scale=scale)
     return tabulate(raw, names, graphs=graphs)
 
 

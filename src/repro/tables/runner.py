@@ -66,15 +66,11 @@ def group_cells(cells: list[dict]) -> tuple[list[int], dict]:
     return out, groups
 
 
-def run_cells(
-    spark: SparkSession,
-    cells: list[dict],
-    machine: MachineConfig | None = None,
-) -> pd.DataFrame:
+def run_cells(spark: SparkSession, cells: list[dict]) -> pd.DataFrame:
     """Execute cells in parallel, one Spark task per (graph, scale) and
     each class of distinct cells once; returns one metrics row per
     requested cell, in request order."""
-    machine = machine or MachineConfig()
+    machine = MachineConfig()
     ids, groups = group_cells(cells)
 
     def _run_group(group) -> list[dict]:

@@ -5,10 +5,15 @@ import numpy as np
 import pytest
 
 from repro.bucket import make_structure
-from repro.bucket.hbs import _split_sizes
+from repro.bucket.hbs import HBS, _split_sizes
 from repro.bucket.interface import ACTIVE, PEELED
 
+# "hbs" is the HBS alone; the engine runs it only inside "adaptive".
 STRUCTURES = ["scan_all", "single", "fixed", "hbs", "adaptive"]
+
+
+def _make(name: str, n: int):
+    return HBS(n) if name == "hbs" else make_structure(name, n)
 
 
 def _drive(structure_name: str, deg0: np.ndarray, seed: int = 0) -> None:
@@ -17,7 +22,7 @@ def _drive(structure_name: str, deg0: np.ndarray, seed: int = 0) -> None:
     rng = np.random.default_rng(seed)
     deg = deg0.astype(np.int64).copy()
     state = np.zeros(n, dtype=np.int8)
-    s = make_structure(structure_name, n)
+    s = _make(structure_name, n)
     s.build(np.arange(n, dtype=np.int64), deg)
     k = 0
     remaining = n
@@ -99,7 +104,7 @@ def test_fixed_counts_moves():
 def test_hbs_counts_redistribution_and_stale():
     n = 64
     deg = np.arange(n, dtype=np.int64)
-    s = make_structure("hbs", n)
+    s = HBS(n)
     state = np.zeros(n, dtype=np.int8)
     s.build(np.arange(n), deg)
     total = 0
@@ -112,7 +117,6 @@ def test_hbs_counts_redistribution_and_stale():
 
 
 def test_adaptive_switches_at_theta():
-    from repro.bucket.hbs import HBS, AdaptiveHBS
     from repro.bucket.single import SingleBucket
 
     n = 60

@@ -204,16 +204,3 @@ def test_knn_requires_enough_points():
         gen.knn_graph(5, 5, seed=1)
     # n = k + 1 is enough: every point's k nearest are all the others.
     assert gen.knn_graph(6, 5, seed=1).degrees().tolist() == [5] * 6
-
-
-# ---------------------------------------------------------- TPC-H tie-in
-def test_bipartite_from_lineitem():
-    import pandas as pd
-
-    li = pd.DataFrame(
-        {"l_orderkey": [1, 1, 2, 3], "l_partkey": [1, 2, 2, 1]}
-    )
-    g = gen.bipartite_from_lineitem(li)
-    g.validate()
-    assert g.m == 4  # distinct (order, part) pairs
-    assert g.n == 3 + 2

@@ -6,7 +6,6 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.simcpu.machine import MachineConfig
 from repro.tables import figs, report, table3
 from repro.tables.artifacts import ARTIFACTS, build
 from repro.tables.runner import algo_registry, group_cells, run_cells
@@ -190,9 +189,20 @@ def test_fig12_mini():
     assert (df.ours > 0).all() and (df.galois > 0).all()
 
 
-def test_machine_override_plumbed(spark):
-    slow = MachineConfig(omega=5000.0)
-    fast = MachineConfig(omega=50.0)
-    a = run_cells(spark, [{"graph": "GRID", "algo": "plain", "scale": "mini"}], slow)
-    b = run_cells(spark, [{"graph": "GRID", "algo": "plain", "scale": "mini"}], fast)
-    assert a.t_par.iloc[0] > b.t_par.iloc[0]
+def test_fig12_checks_both_k_cores_against_bz(monkeypatch):
+    """Ours and the Galois baseline run one engine, so agreeing with each
+    other proves nothing: the same wrong k-core from both must raise."""
+    import repro.core.subgraph as subgraph
+
+    run = figs.run_kcore
+
+    def run_kcore(g, algo, machine=None, *, stop_at_k):
+        core, met = run(g, algo, machine, stop_at_k=stop_at_k)
+        core = core.copy()
+        core[np.argmin(core)] = stop_at_k  # a vertex of coreness < k joins
+        return core, met
+
+    monkeypatch.setattr(figs, "run_kcore", run_kcore)
+    monkeypatch.setattr(subgraph, "run_kcore", run_kcore)
+    with pytest.raises(RuntimeError, match=r"'TW' \(mini\), k=4: the ours 4-core differs"):
+        figs.fig12_subgraph(graphs=["TW"], ks=[4], scale="mini")
