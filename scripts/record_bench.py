@@ -1,12 +1,16 @@
 """Record end-to-end host times of a change and its parent in ``BENCH_<label>.json``.
 
-    python scripts/record_bench.py LABEL PARENT_CHECKOUT
+    python scripts/record_bench.py LABEL PARENT_CHECKOUT CHANGE_CHECKOUT
 
-``PARENT_CHECKOUT`` is a git clone of the parent commit; the change is
-the checkout that holds this script. The script runs each measurement
-as a pair, one run on each checkout, and alternates which checkout runs
-first from one pair to the next, so that host load which changes over
-the recording falls on both sides alike. It runs:
+``PARENT_CHECKOUT`` and ``CHANGE_CHECKOUT`` are git clones of the
+parent commit and of the change, side by side in one directory; the
+script refuses two checkouts whose parent directories differ, since
+where a checkout sits has moved ``dataflow-small``'s ``peak_rss_mb``
+by about 2% for one and the same commit.
+``BENCHMARK.json`` is read from the change checkout. The script runs
+each measurement as a pair, one run on each checkout, and alternates
+which checkout runs first from one pair to the next, so that host load
+which changes over the recording falls on both sides alike. It runs:
 - ``perfbench/run.py --workload W --trace 0``, ten pairs for each
   workload ``BENCHMARK.json`` declares, for its ``run_seconds``;
 - ``perfbench/run.py --workload W --trace 1``, one pair for each
@@ -236,11 +240,20 @@ def _fig12(root: pathlib.Path) -> float:
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) != 2:
-        print("usage: python scripts/record_bench.py LABEL PARENT_CHECKOUT", file=sys.stderr)
+    if len(argv) != 3:
+        print(
+            "usage: python scripts/record_bench.py LABEL PARENT_CHECKOUT CHANGE_CHECKOUT",
+            file=sys.stderr,
+        )
         return 2
-    label, parent = argv[0], pathlib.Path(argv[1]).resolve()
-    roots = [parent, pathlib.Path(__file__).resolve().parent.parent]
+    label, roots = argv[0], [pathlib.Path(a).resolve() for a in argv[1:]]
+    if roots[0].parent != roots[1].parent or roots[0] == roots[1]:
+        print(
+            f"record_bench: {roots[0]} and {roots[1]} must be two checkouts in the "
+            "same directory",
+            file=sys.stderr,
+        )
+        return 2
     spec = json.loads((roots[1] / "BENCHMARK.json").read_text())
     metrics = spec["end_to_end"]
     benches = {

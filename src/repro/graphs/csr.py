@@ -4,10 +4,18 @@ The machine simulator (``repro.simcpu``) and the sequential baselines
 operate on CSR arrays. Graphs are undirected and simple: every edge is
 stored in both directions, self-loops and duplicate edges are removed
 at construction time.
+
+Every graph is built by one core, ``csr_from_codes``, from a buffer of
+canonical pair codes (``min * n + max``, -1 for a self-loop) that the
+core owns and frees before allocating the output. ``build_csr`` encodes
+(src, dst) edge arrays into such a buffer; the Chung–Lu, planted-core,
+Barabási–Albert and HCNS generators write their edges into one
+directly, so no raw edge arrays live through the build.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -75,18 +83,30 @@ def build_csr(n: int, src: np.ndarray, dst: np.ndarray) -> CSR:
 
     The input is treated as a set of (possibly directed, possibly
     duplicated) edges; the output contains each undirected edge exactly
-    once in each direction, with self-loops dropped.
+    once in each direction, with self-loops dropped. It is
+    ``csr_from_codes`` of the edges' ``pair_codes``.
+    """
+    src, dst = np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)
+    return csr_from_codes(n, lambda: pair_codes(n, src, dst))
 
-    Each edge is encoded as its canonical pair code ``lo * n + hi``
-    (lo < hi) and the codes are sorted in place; a self-loop gets the
-    code -1, which sorts before every pair. The distinct pairs are then
-    expanded into the directed codes ``v * n + u``: the canonical half
-    is already sorted, the swapped half ``hi * n + lo`` is sorted in
-    place, and one merge of the two runs gives the CSR order. Encoding
-    and swapping run over blocks of ``BLOCK`` edges, so no step holds a
+
+def csr_from_codes(n: int, codes: Callable[[], np.ndarray]) -> CSR:
+    """Build the CSR of the int64 pair codes that ``codes()`` returns.
+
+    Each code is an edge's canonical ``lo * n + hi`` (lo < hi), or -1
+    for a self-loop (see ``pair_codes``); duplicates are allowed. The
+    buffer is taken from a call, not an argument, so that this function
+    holds its only reference: an argument would stay on the caller's
+    stack through the whole build. The codes are sorted in place (-1
+    sorts before every pair), and the buffer is freed once the distinct
+    pairs are copied out, before ``adj`` is allocated. The pairs are
+    then expanded into the directed codes ``v * n + u``: the canonical
+    half is already sorted, the swapped half ``hi * n + lo`` is sorted
+    in place, and one merge of the two runs gives the CSR order.
+    Swapping runs over blocks of ``BLOCK`` edges, so no step holds a
     temporary larger than a block beside the codes and the output.
     """
-    code = _pair_codes(n, np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64))
+    code = codes()
     code.sort()
     code = code[np.searchsorted(code, 0) :]
     first = np.empty(len(code), dtype=bool)
@@ -110,11 +130,14 @@ def build_csr(n: int, src: np.ndarray, dst: np.ndarray) -> CSR:
     return CSR(indptr=indptr, adj=adj)
 
 
-def _pair_codes(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    """The canonical code ``min * n + max`` of every edge, -1 for a
-    self-loop, computed ``BLOCK`` edges at a time (in a function of its
-    own, so that no view of a block outlives the codes)."""
-    code = np.empty(len(src), dtype=np.int64)
+def pair_codes(
+    n: int, src: np.ndarray, dst: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """The canonical code ``min * n + max`` of every int64 edge, -1 for
+    a self-loop, computed ``BLOCK`` edges at a time into ``out`` (a new
+    array if None; it may be ``src`` or ``dst`` itself). In a function
+    of its own, so that no view of a block outlives the call."""
+    code = np.empty(len(src), dtype=np.int64) if out is None else out
     for i in range(0, len(code), BLOCK):
         s, d = src[i : i + BLOCK], dst[i : i + BLOCK]
         lo, hi = np.minimum(s, d), np.maximum(s, d)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.graphs.csr import BLOCK, CSR, build_csr
+from repro.graphs.csr import BLOCK, CSR, build_csr, csr_from_codes, pair_codes
 
 
 # ---------------------------------------------------------------------------
@@ -43,23 +43,35 @@ def chung_lu(
     self-loops are dropped, so realized average degree is slightly
     below ``avg_deg``). ``max_weight_frac`` caps any single vertex's
     share of the weight mass so hubs are heavy but not degenerate.
+    Built by ``csr_from_codes`` from ``chung_lu_codes``, so the draws
+    are never held as (src, dst) arrays.
     """
-    src, dst = chung_lu_edges(
-        n, avg_deg, exponent, seed=seed, max_weight_frac=max_weight_frac
+    return csr_from_codes(
+        n,
+        lambda: chung_lu_codes(
+            n, avg_deg, exponent, seed=seed, max_weight_frac=max_weight_frac
+        ),
     )
-    return build_csr(n, src, dst)
 
 
-def chung_lu_edges(
+def chung_lu_codes(
     n: int,
     avg_deg: float,
     exponent: float = 2.3,
     *,
     seed: int = 0,
     max_weight_frac: float = 0.05,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The raw (src, dst) draws of ``chung_lu``, loops and duplicates
-    included."""
+    extra: tuple[np.ndarray, np.ndarray] | None = None,
+) -> np.ndarray:
+    """The pair codes (``csr.pair_codes``) of ``chung_lu``'s draws,
+    loops and duplicates included, followed by those of the ``extra``
+    (src, dst) edges, in one buffer.
+
+    The ``src`` keys fill the buffer; the ``dst`` keys are drawn a
+    block at a time and encoded in place against them, as ``src * n +
+    dst``. The vertex permutation is drawn after all the keys, so each
+    block is then decoded, permuted and encoded as pair codes. The RNG
+    stream is that of drawing both endpoint arrays and permuting them."""
     rng = np.random.default_rng(seed)
     gamma = 1.0 / (exponent - 1.0)
     i0 = 2.0
@@ -68,29 +80,46 @@ def chung_lu_edges(
     cdf = np.cumsum(w)
     cdf /= cdf[-1]
     m = int(n * avg_deg / 2)
-    src = _inverse_cdf(cdf, rng, m)
-    dst = _inverse_cdf(cdf, rng, m)
+    code = _code_buffer(n, m, extra)
+    for b, s in enumerate(_inverse_cdf(cdf, rng, m)):
+        code[b * BLOCK : b * BLOCK + len(s)] = s
+    for b, d in enumerate(_inverse_cdf(cdf, rng, m)):
+        c = code[b * BLOCK : b * BLOCK + len(d)]
+        c *= n
+        c += d
     # Shuffle vertex ids so hubs are not contiguous low ids.
     perm = rng.permutation(n)
-    # In place: mode "raise" would buffer a copy of the output.
-    np.take(perm, src, out=src, mode="clip")
-    np.take(perm, dst, out=dst, mode="clip")
-    return src, dst
+    for i in range(0, m, BLOCK):
+        c = code[i : min(i + BLOCK, m)]
+        s, d = np.divmod(c, n)
+        pair_codes(n, perm[s], perm[d], out=c)
+    return code
 
 
-def _inverse_cdf(cdf: np.ndarray, rng: np.random.Generator, m: int) -> np.ndarray:
+def _code_buffer(
+    n: int, m: int, extra: tuple[np.ndarray, np.ndarray] | None
+) -> np.ndarray:
+    """An int64 buffer of ``m`` slots for a generator's draws, followed
+    by the pair codes of the ``extra`` (src, dst) edges, if any."""
+    k = 0 if extra is None else len(extra[0])
+    code = np.empty(m + k, dtype=np.int64)
+    if k:
+        pair_codes(n, *extra, out=code[m:])
+    return code
+
+
+def _inverse_cdf(cdf: np.ndarray, rng: np.random.Generator, m: int):
     """``np.searchsorted(cdf, rng.random(m))`` for a ``cdf`` ending at 1,
-    through a guide table (Chen & Asau, 1974).
+    through a guide table (Chen & Asau, 1974), yielded ``BLOCK``
+    entries at a time.
 
     ``searchsorted`` bisects the whole ``cdf`` for each random key, a
     cache miss per step. A table of K = 2^b equal slices of [0, 1)
     (x * K is exact) narrows each answer to a few entries, which a
-    vectorized bisection then settles. The keys are drawn ``BLOCK`` at
-    a time, the same stream as one ``rng.random(m)``, and each block is
-    settled into its slice of the one output array."""
+    vectorized bisection then settles. The keys are drawn one block
+    per yielded block, the same stream as one ``rng.random(m)``."""
     k = 1 << (2 * len(cdf)).bit_length()
     table = np.searchsorted(cdf, np.arange(k + 1) / k)
-    out = np.empty(m, dtype=np.int64)
     for i in range(0, m, BLOCK):
         x = rng.random(min(BLOCK, m - i))
         j = (x * k).astype(np.int64)
@@ -100,8 +129,7 @@ def _inverse_cdf(cdf: np.ndarray, rng: np.random.Generator, m: int) -> np.ndarra
             below = cdf[mid] < x
             lo = np.where(below, mid + 1, lo)
             hi = np.where(below, hi, mid)
-        out[i : i + len(x)] = lo
-    return out
+        yield lo
 
 
 def planted_core(
@@ -113,9 +141,9 @@ def planted_core(
     core's degeneracy), reproducing the very dense cores of web graphs
     (EH/SD/CW/HL*) and HPL relative to plain power-law graphs.
 
-    The suite builds these graphs in one ``build_csr`` of both edge sets
-    (``suite._cored``); this two-build form is the reference the tests
-    compare that against.
+    The suite builds these graphs in one build of both edge sets' pair
+    codes (``suite._cored``); this two-build form is the reference the
+    tests compare that against.
     """
     from repro.graphs.csr import edge_array
 
@@ -130,9 +158,10 @@ def planted_edges(
     n: int, core_size: int, core_avg_deg: float, *, seed: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
     """The (src, dst) edges ``planted_core`` overlays on an n-vertex
-    graph. ``build_csr`` reads only the set of undirected pairs, so
-    building them together with a base graph's raw edges gives
-    ``planted_core`` of that graph in one build."""
+    graph. A build reads only the set of undirected pairs, so building
+    their pair codes together with a base graph's raw ones (the
+    ``extra`` of ``chung_lu_codes`` and ``barabasi_albert_codes``)
+    gives ``planted_core`` of that graph in one build."""
     rng = np.random.default_rng(seed)
     members = rng.choice(n, size=core_size, replace=False)
     m_extra = int(core_size * core_avg_deg / 2)
@@ -148,40 +177,39 @@ def barabasi_albert(n: int, m0: int, *, seed: int = 0) -> CSR:
     from the endpoint list of existing edges (the standard linear
     preferential-attachment trick).
 
-    The suite's HPL graph is ``suite._cored`` of the raw
-    ``barabasi_albert_edges``; tests use this built form as a reference.
+    The suite's HPL graph is ``suite._cored`` of the
+    ``barabasi_albert_codes``; tests use this built form as a reference.
     """
-    return build_csr(n, *barabasi_albert_edges(n, m0, seed=seed))
+    return csr_from_codes(n, lambda: barabasi_albert_codes(n, m0, seed=seed))
 
 
-def barabasi_albert_edges(
-    n: int, m0: int, *, seed: int = 0
-) -> tuple[np.ndarray, np.ndarray]:
-    """The raw (src, dst) attachments of ``barabasi_albert``, duplicates
-    included."""
+def barabasi_albert_codes(
+    n: int,
+    m0: int,
+    *,
+    seed: int = 0,
+    extra: tuple[np.ndarray, np.ndarray] | None = None,
+) -> np.ndarray:
+    """The pair codes of ``barabasi_albert``'s attachments, duplicates
+    included, followed by those of the ``extra`` (src, dst) edges."""
     rng = np.random.default_rng(seed)
     assert n > m0 >= 1
-    # Endpoint pool: every inserted edge contributes both endpoints.
-    pool = np.empty(2 * n * m0, dtype=np.int64)
-    src = np.empty(n * m0, dtype=np.int64)
-    dst = np.empty(n * m0, dtype=np.int64)
-    # Seed star on vertices 0..m0.
-    pool_len = 0
-    e = 0
-    for v in range(1, m0 + 1):
-        src[e], dst[e] = v, 0
-        pool[pool_len : pool_len + 2] = (v, 0)
-        pool_len += 2
-        e += 1
-    for v in range(m0 + 1, n):
-        targets = pool[rng.integers(0, pool_len, m0)]
-        src[e : e + m0] = v
-        dst[e : e + m0] = targets
-        pool[pool_len : pool_len + m0] = targets
-        pool[pool_len + m0 : pool_len + 2 * m0] = v
-        pool_len += 2 * m0
-        e += m0
-    return src[:e], dst[:e]
+    # Endpoint pool: every inserted edge contributes both endpoints. The
+    # seed star on vertices 0..m0 puts its pairs (v, 0) first; then each
+    # new vertex v puts its m0 targets, then m0 copies of v, which are
+    # known up front.
+    pool = np.empty(2 * (n - m0) * m0, dtype=np.int64)
+    pool[: 2 * m0 : 2] = np.arange(1, m0 + 1)
+    pool[1 : 2 * m0 : 2] = 0
+    new = pool[2 * m0 :].reshape(n - m0 - 1, 2, m0)
+    new[:, 1, :] = np.arange(m0 + 1, n)[:, None]
+    for pool_len in range(2 * m0, len(pool), 2 * m0):
+        pool[pool_len : pool_len + m0] = pool[rng.integers(0, pool_len, m0)]
+    m = (n - m0) * m0
+    code = _code_buffer(n, m, extra)
+    pair_codes(n, pool[: 2 * m0 : 2], pool[1 : 2 * m0 : 2], out=code[:m0])
+    pair_codes(n, new[:, 0, :], new[:, 1, :], out=code[m0:m].reshape(n - m0 - 1, m0))
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -351,15 +379,21 @@ def hcns(k_max: int) -> CSR:
     where u_i has exactly i edges into the clique, so u_i has coreness
     exactly i and is the only vertex peeled in round i. This yields
     rho = k_max and n = 2*k_max, stressing the bucketing structure.
+    Built by ``csr_from_codes`` from the edges' pair codes, written
+    straight into one buffer.
     """
+    return csr_from_codes(2 * k_max, lambda: _hcns_codes(k_max))
+
+
+def _hcns_codes(k_max: int) -> np.ndarray:
+    """The pair codes of ``hcns(k_max)``'s edges."""
     c = k_max + 1  # clique size
     n = c + (k_max - 1)
     t = c * (c - 1) // 2  # clique edges
-    src = np.empty(t + k_max * (k_max - 1) // 2, dtype=np.int64)
-    dst = np.empty_like(src)
-    # Clique pair (i, j) for j < i sits at i(i-1)/2 + j.
-    src[:t] = np.repeat(np.arange(c), np.arange(c))
-    np.subtract(np.arange(t), src[:t] * (src[:t] - 1) // 2, out=dst[:t])
+    code = np.empty(t + k_max * (k_max - 1) // 2, dtype=np.int64)
+    # Clique pair (j, i) for j < i sits at i(i-1)/2 + j.
+    hi = np.repeat(np.arange(c), np.arange(c))
+    pair_codes(n, np.arange(t) - hi * (hi - 1) // 2, hi, out=code[:t])
     e = t
     for i in range(1, k_max):
         u = k_max + i  # chain vertex with target coreness i
@@ -373,7 +407,6 @@ def hcns(k_max: int) -> CSR:
             if cand not in targets:
                 targets = np.append(targets, cand)
             extra += 1
-        src[e : e + i] = u
-        dst[e : e + i] = targets[:i]
+        pair_codes(n, targets[:i], np.full(i, u), out=code[e : e + i])
         e += i
-    return build_csr(n, src, dst)
+    return code

@@ -19,10 +19,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
 
-import numpy as np
-
 from repro.graphs import generators as gen
-from repro.graphs.csr import CSR, build_csr
+from repro.graphs.csr import CSR, csr_from_codes
 
 
 @dataclass(frozen=True)
@@ -42,29 +40,29 @@ def _cl(n, avg, exp, seed, frac=0.02):
 def _cl_core(n, avg, exp, seed, cs, cavg, frac=0.02):
     """``planted_core(chung_lu(...))``, built from both edge sets at once."""
     return _cored(
-        lambda: gen.chung_lu_edges(n, avg, exp, seed=seed, max_weight_frac=frac),
+        lambda extra: gen.chung_lu_codes(
+            n, avg, exp, seed=seed, max_weight_frac=frac, extra=extra
+        ),
         n, cs, cavg, seed,
     )
 
 
 def _ba_core(n, m0, seed, cs, cavg):
     """``planted_core(barabasi_albert(...))``, built from both edge sets at once."""
-    return _cored(lambda: gen.barabasi_albert_edges(n, m0, seed=seed), n, cs, cavg, seed)
+    return _cored(
+        lambda extra: gen.barabasi_albert_codes(n, m0, seed=seed, extra=extra),
+        n, cs, cavg, seed,
+    )
 
 
-def _cored(edges, n, cs, cavg, seed):
-    """One ``build_csr`` of the raw ``edges()`` and the planted edges:
-    ``build_csr`` reads only the set of undirected pairs, so this is
-    ``planted_core`` of the graph the raw edges build."""
-
-    def build() -> CSR:
-        src, dst = edges()
-        psrc, pdst = gen.planted_edges(n, cs, cavg, seed=seed)
-        src = np.concatenate([src, psrc])
-        dst = np.concatenate([dst, pdst])
-        return build_csr(n, src, dst)
-
-    return build
+def _cored(codes, n, cs, cavg, seed):
+    """One ``csr_from_codes`` of the buffer ``codes(extra)`` fills with
+    the raw draws' pair codes followed by the planted edges': a build
+    reads only the set of undirected pairs, so this is ``planted_core``
+    of the graph the raw draws build."""
+    return lambda: csr_from_codes(
+        n, lambda: codes(gen.planted_edges(n, cs, cavg, seed=seed))
+    )
 
 
 def _road(side, seed):

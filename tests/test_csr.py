@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 import repro.graphs.csr as csr_mod
 from repro.graphs.csr import (
-    BLOCK, CSR, build_csr, edge_array, from_edge_list, gather_neighbors,
+    BLOCK, CSR, build_csr, csr_from_codes, edge_array, from_edge_list,
+    gather_neighbors, pair_codes,
 )
 
 
@@ -200,18 +201,60 @@ def test_build_csr_any_block_size(n, edges, block):
         _assert_builds_like_unique(n, arr[:, 0], arr[:, 1])
 
 
-def test_chung_lu_build_peak_is_a_small_multiple_of_its_csr():
-    """The traced peak of generating and building a mid-size Chung-Lu
-    graph stays within 3x its CSR bytes (the raw draws are about one
-    CSR's worth; the build's temporaries about one and a half)."""
-    import tracemalloc
+@pytest.mark.parametrize("count", [BLOCK - 1, BLOCK, BLOCK + 1])
+def test_csr_from_codes_matches_decoded_pairs(count):
+    """``count`` codes with self-loop codes and duplicate codes, some of
+    them on both sides of a block boundary, build the CSR that
+    ``build_csr`` builds from the decoded pairs."""
+    rng = np.random.default_rng(count)
+    n = 300
+    lo = rng.integers(0, n - 1, count)
+    hi = rng.integers(lo + 1, n)
+    code = lo * n + hi
+    code[rng.random(count) < 0.05] = -1
+    code[BLOCK - 2 : BLOCK] = -1
+    code[BLOCK // 2] = code[-1] = code[BLOCK - 3]
+    assert len(np.unique(code)) < count - 1
+    src = np.where(code < 0, 0, code // n)
+    dst = np.where(code < 0, 0, code % n)
+    g = csr_from_codes(n, lambda: code.copy())
+    ref = _assert_builds_like_unique(n, src, dst)
+    assert np.array_equal(g.indptr, ref.indptr) and np.array_equal(g.adj, ref.adj)
+    assert np.array_equal(pair_codes(n, dst, src), code)
 
+
+def _bench_eh():
+    from repro.graphs.suite import SUITE
+
+    return SUITE["EH"].bench()
+
+
+def _chung_lu():
     from repro.graphs.generators import chung_lu
+
+    return chung_lu(20_000, 30, seed=3)
+
+
+def _hcns():
+    from repro.graphs.generators import hcns
+
+    return hcns(300)
+
+
+@pytest.mark.parametrize(
+    "build", [_chung_lu, _bench_eh, _hcns], ids=["chung_lu", "bench_EH", "hcns"]
+)
+def test_chung_lu_build_peak_is_a_small_multiple_of_its_csr(build):
+    """The traced peak of generating and building a Chung-Lu graph, a
+    planted-core graph (``suite._cored``) and HCNS stays within 2x the
+    CSR's bytes: only the pair-code buffer and the distinct pairs live
+    beside the output, never raw (src, dst) arrays."""
+    import tracemalloc
 
     tracemalloc.start()
     try:
-        g = chung_lu(20_000, 30, seed=3)
+        g = build()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * (g.indptr.nbytes + g.adj.nbytes)
+    assert peak <= 2 * (g.indptr.nbytes + g.adj.nbytes)

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from repro.graphs import generators as gen
-from repro.graphs.csr import BLOCK
+from repro.graphs.csr import BLOCK, pair_codes
 from repro.seq.bz import bz_kcore
 
 
@@ -48,8 +48,13 @@ def test_inverse_cdf_matches_searchsorted(n):
     cdf = np.cumsum(w)
     cdf /= cdf[-1]
     x = np.concatenate([rng.random(20_000), [0.0, np.nextafter(1.0, 0.0)], cdf[:-1]])
-    assert np.array_equal(gen._inverse_cdf(cdf, _Keys(x), len(x)), np.searchsorted(cdf, x))
-    assert len(gen._inverse_cdf(cdf, _Keys(x), 0)) == 0
+    assert np.array_equal(_drawn(cdf, _Keys(x), len(x)), np.searchsorted(cdf, x))
+    assert len(_drawn(cdf, _Keys(x), 0)) == 0
+
+
+def _drawn(cdf, rng, m):
+    """All of ``_inverse_cdf``'s blocks, joined."""
+    return np.concatenate([np.empty(0, dtype=np.int64), *gen._inverse_cdf(cdf, rng, m)])
 
 
 class _Keys:
@@ -70,7 +75,7 @@ def test_inverse_cdf_draws_one_stream(m):
     cdf = np.cumsum(np.arange(1, 301) ** -1.2)
     cdf /= cdf[-1]
     a, b = np.random.default_rng(m), np.random.default_rng(m)
-    got = gen._inverse_cdf(cdf, a, m)
+    got = _drawn(cdf, a, m)
     assert np.array_equal(got, np.searchsorted(cdf, b.random(m)))
     assert a.random() == b.random()
 
@@ -84,16 +89,41 @@ def test_planted_core_raises_kmax():
 
 
 def test_planted_core_is_one_build_of_both_edge_sets():
-    """``planted_core`` of a ``chung_lu`` graph equals one ``build_csr``
-    of the raw Chung-Lu draws and the planted edges (how the suite
-    builds its web graphs)."""
-    from repro.graphs.csr import build_csr
+    """``planted_core`` of a ``chung_lu`` graph equals one build of the
+    pair-code buffer that holds the Chung-Lu draws and then the planted
+    edges (how the suite builds its web graphs)."""
+    from repro.graphs.suite import _cl_core
 
     two = gen.planted_core(gen.chung_lu(2000, 6, seed=5), 100, 60, seed=5)
-    src, dst = gen.chung_lu_edges(2000, 6, seed=5)
-    psrc, pdst = gen.planted_edges(2000, 100, 60, seed=5)
-    one = build_csr(2000, np.concatenate([src, psrc]), np.concatenate([dst, pdst]))
+    one = _cl_core(2000, 6, 2.3, 5, 100, 60, frac=0.05)()
     assert np.array_equal(one.indptr, two.indptr) and np.array_equal(one.adj, two.adj)
+
+
+@pytest.mark.parametrize("m", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+def test_chung_lu_codes_are_the_permuted_draws(m):
+    """The buffer holds, position by position, the pair codes of the
+    draws of both endpoint arrays then permuted by ``rng.permutation(n)``,
+    with the extra edges after them, whether the blocks of the remap
+    end on the draws' last entry or one short or past it."""
+    n = 500
+    exponent, frac = 2.1, 0.05
+    rng = np.random.default_rng(9)
+    w = (np.arange(n) + 2.0) ** (-1.0 / (exponent - 1.0))
+    w = np.minimum(w, w.sum() * frac)
+    cdf = np.cumsum(w)
+    cdf /= cdf[-1]
+    src = np.searchsorted(cdf, rng.random(m))
+    dst = np.searchsorted(cdf, rng.random(m))
+    perm = rng.permutation(n)
+    extra = (np.array([3, 7, 7]), np.array([3, 2, 9]))
+    want = np.concatenate([
+        pair_codes(n, perm[src], perm[dst]), pair_codes(n, *extra),
+    ])
+    assert (want == -1).any()
+    got = gen.chung_lu_codes(
+        n, 2 * m / n, exponent, seed=9, max_weight_frac=frac, extra=extra
+    )
+    assert np.array_equal(got, want)
 
 
 # ------------------------------------------------------------------ BA

@@ -158,12 +158,17 @@ CSR_SHA256 = {
     'EU': '051697bddb9b726637d4a3dc37716c88687d676a25abf152c1ccd4fbfa0b0e7c',
     'BBL': 'a8f2fe0d06362d2f67185d136b21f3557154eb88648a218bf5b85448b0dd37a3',
 }
-# The bench-scale graphs of perfbench's ``sim`` workload.
+# The bench-scale graphs of perfbench's ``sim`` workload, and one of
+# each other pair-code builder: a ``_cl`` graph (FS), the heaviest
+# ``_cl_core`` graph (CW) and the ``_ba_core`` graph (HPL).
 BENCH_CSR_SHA256 = {
     'EH': '8828df9e8ee264f4bb217c8cd80e388ba1a7cdcbfb5c401f703a321df6ccb43d',
     'HCNS': 'a6fd13571fedd31eb66103989bc3c813f5133839f196c6c644d9cdf3474944b9',
     'TRCE': '5251b3a015cc5534323184f147807c71766ae9d71391b6c5a9c003f9c1e9834f',
     'BBL': '6ff66fb5e53e76765d6864191ed14e37bdbafb87ab4f323e60d1e23c006b347f',
+    'CW': 'c74be4bffbe2f79749d03131aa0cdb59ab3ccd4985dfccac28e33e800f3b02d6',
+    'FS': 'bb005fbb6572ca0c4b88f4af13dfd1b41a80836cfde88c301cf1d2663c0e308e',
+    'HPL': '44da2132e4775bf91476781aebe4a071d87d4c172d263038a2a52ad56b5bb7da',
 }
 
 
