@@ -207,8 +207,12 @@ def barabasi_albert_codes(
         pool[pool_len : pool_len + m0] = pool[rng.integers(0, pool_len, m0)]
     m = (n - m0) * m0
     code = _code_buffer(n, m, extra)
-    pair_codes(n, pool[: 2 * m0 : 2], pool[1 : 2 * m0 : 2], out=code[:m0])
-    pair_codes(n, new[:, 0, :], new[:, 1, :], out=code[m0:m].reshape(n - m0 - 1, m0))
+    # Every attachment (target, v) has target < v: its pair code is
+    # target * n + v, written in place without block temporaries.
+    code[:m0] = pool[: 2 * m0 : 2]  # the seed star's pairs (0, v)
+    drawn = code[m0:m].reshape(n - m0 - 1, m0)
+    np.multiply(new[:, 0, :], n, out=drawn)
+    drawn += new[:, 1, :]
     return code
 
 

@@ -137,6 +137,30 @@ def test_barabasi_albert_structure():
     assert d.max() > 30  # preferential attachment creates hubs
 
 
+def _barabasi_albert_loop(n, m0, seed):
+    """Reference: the per-vertex attachment loop, as (src, dst) arrays."""
+    rng = np.random.default_rng(seed)
+    pool = [x for v in range(1, m0 + 1) for x in (v, 0)]
+    src, dst = list(range(1, m0 + 1)), [0] * m0
+    for v in range(m0 + 1, n):
+        targets = np.array(pool)[rng.integers(0, len(pool), m0)].tolist()
+        src += [v] * m0
+        dst += targets
+        pool += targets + [v] * m0
+    return np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64)
+
+
+@pytest.mark.parametrize("n,m0,seed", [(800, 5, 7), (200, 3, 2), (5, 1, 0), (2, 1, 3)])
+def test_barabasi_albert_codes_match_the_per_vertex_loop(n, m0, seed):
+    """The buffer holds, position by position, the pair codes of the
+    per-vertex loop's attachments, with the extra edges after them."""
+    extra = (np.array([0, 1]), np.array([n - 1, 1]))
+    want = np.concatenate([
+        pair_codes(n, *_barabasi_albert_loop(n, m0, seed)), pair_codes(n, *extra),
+    ])
+    assert np.array_equal(gen.barabasi_albert_codes(n, m0, seed=seed, extra=extra), want)
+
+
 def test_barabasi_albert_coreness_bounded_by_m0():
     g = gen.barabasi_albert(500, 4, seed=8)
     assert bz_kcore(g).core.max() <= 4
