@@ -390,14 +390,18 @@ def hcns(k_max: int) -> CSR:
 
 
 def _hcns_codes(k_max: int) -> np.ndarray:
-    """The pair codes of ``hcns(k_max)``'s edges."""
+    """The pair codes of ``hcns(k_max)``'s edges, written directly: a
+    clique pair (j, i) has j < i, and a chain vertex has a higher id
+    than every clique vertex."""
     c = k_max + 1  # clique size
     n = c + (k_max - 1)
     t = c * (c - 1) // 2  # clique edges
     code = np.empty(t + k_max * (k_max - 1) // 2, dtype=np.int64)
     # Clique pair (j, i) for j < i sits at i(i-1)/2 + j.
     hi = np.repeat(np.arange(c), np.arange(c))
-    pair_codes(n, np.arange(t) - hi * (hi - 1) // 2, hi, out=code[:t])
+    np.subtract(np.arange(t), hi * (hi - 1) // 2, out=code[:t])
+    code[:t] *= n
+    code[:t] += hi
     e = t
     for i in range(1, k_max):
         u = k_max + i  # chain vertex with target coreness i
@@ -411,6 +415,6 @@ def _hcns_codes(k_max: int) -> np.ndarray:
             if cand not in targets:
                 targets = np.append(targets, cand)
             extra += 1
-        pair_codes(n, targets[:i], np.full(i, u), out=code[e : e + i])
+        np.add(targets[:i] * n, u, out=code[e : e + i])
         e += i
     return code
