@@ -18,6 +18,8 @@ All generators take an integer ``seed`` and are deterministic in it.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 import numpy as np
 
 from repro.graphs.csr import BLOCK, CSR, build_csr, csr_from_codes, pair_codes
@@ -108,7 +110,9 @@ def _code_buffer(
     return code
 
 
-def _inverse_cdf(cdf: np.ndarray, rng: np.random.Generator, m: int):
+def _inverse_cdf(
+    cdf: np.ndarray, rng: np.random.Generator, m: int
+) -> Iterator[np.ndarray]:
     """``np.searchsorted(cdf, rng.random(m))`` for a ``cdf`` ending at 1,
     through a guide table (Chen & Asau, 1974), yielded ``BLOCK``
     entries at a time.
