@@ -9,6 +9,8 @@ from repro.graphs.csr import (
     BLOCK, CSR, build_csr, csr_from_codes, edge_array, from_edge_list,
     gather_neighbors, pair_codes,
 )
+from repro.graphs.generators import chung_lu, hcns
+from repro.graphs.suite import SUITE
 
 
 def test_build_simple_triangle():
@@ -203,9 +205,10 @@ def test_build_csr_any_block_size(n, edges, block):
 
 @pytest.mark.parametrize("count", [BLOCK - 1, BLOCK, BLOCK + 1])
 def test_csr_from_codes_matches_decoded_pairs(count):
-    """``count`` codes with self-loop codes and duplicate codes, some of
-    them on both sides of a block boundary, build the CSR that
-    ``build_csr`` builds from the decoded pairs."""
+    """``count`` codes, with self-loop codes (two just before the block
+    boundary) and duplicate codes (the last one in the next block when
+    there is one), build the CSR that ``build_csr`` builds from the
+    decoded pairs."""
     rng = np.random.default_rng(count)
     n = 300
     lo = rng.integers(0, n - 1, count)
@@ -223,26 +226,10 @@ def test_csr_from_codes_matches_decoded_pairs(count):
     assert np.array_equal(pair_codes(n, dst, src), code)
 
 
-def _bench_eh():
-    from repro.graphs.suite import SUITE
-
-    return SUITE["EH"].bench()
-
-
-def _chung_lu():
-    from repro.graphs.generators import chung_lu
-
-    return chung_lu(20_000, 30, seed=3)
-
-
-def _hcns():
-    from repro.graphs.generators import hcns
-
-    return hcns(300)
-
-
 @pytest.mark.parametrize(
-    "build", [_chung_lu, _bench_eh, _hcns], ids=["chung_lu", "bench_EH", "hcns"]
+    "build",
+    [lambda: chung_lu(20_000, 30, seed=3), SUITE["EH"].bench, lambda: hcns(300)],
+    ids=["chung_lu", "bench_EH", "hcns"],
 )
 def test_chung_lu_build_peak_is_a_small_multiple_of_its_csr(build):
     """The traced peak of generating and building a Chung-Lu graph, a

@@ -103,8 +103,9 @@ def test_planted_core_is_one_build_of_both_edge_sets():
 def test_chung_lu_codes_are_the_permuted_draws(m):
     """The buffer holds, position by position, the pair codes of the
     draws of both endpoint arrays then permuted by ``rng.permutation(n)``,
-    with the extra edges after them, whether the blocks of the remap
-    end on the draws' last entry or one short or past it."""
+    with the extra edges after them. The draws end one short of, on or
+    one past a block boundary, or three into a third block, so the
+    remap's last block is partial, full or one entry long."""
     n = 500
     exponent, frac = 2.1, 0.05
     rng = np.random.default_rng(9)
